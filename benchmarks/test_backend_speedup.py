@@ -71,6 +71,7 @@ def synthetic_10k():
     collection = preprocess_collection(dataset.records, seed=BENCH_SEED)
     collection.packed_tokens()
     collection.sketch_bigints()
+    collection.sketch_columns()
     return collection
 
 

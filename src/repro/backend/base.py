@@ -29,7 +29,7 @@ from typing import ClassVar, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.backend.kernels import sketch_estimates
+from repro.backend.kernels import PAIR_BLOCK_BUDGET, filter_task_pairs
 from repro.core.preprocess import PreprocessedCollection
 from repro.hashing.sketch import popcount_rows
 from repro.result import canonical_pair
@@ -95,82 +95,49 @@ class ExecutionBackend(ABC):
         self._sketch_bits_built = False
 
     # ------------------------------------------------------------------ filtering
-    def sketch_estimate_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
-        """Sketch-estimated Jaccard similarity of one record against many."""
-        sketches = self.collection.sketches
-        return sketch_estimates(sketches.words[record_id], sketches.words[others], sketches.num_bits)
-
-    def _filter_one_to_many(
+    @abstractmethod
+    def filter_pairs(
         self,
-        record_id: int,
-        others: np.ndarray,
+        firsts: np.ndarray,
+        seconds: np.ndarray,
         use_sketches: bool,
         sketch_cutoff: float,
-    ) -> np.ndarray:
-        """Candidates among ``others``: size probe plus optional sketch filter."""
-        passing = self.measure.size_compatible(
-            self.measure_sizes[record_id], self.measure_sizes[others], self.threshold
-        )
-        if use_sketches:
-            estimates = self.sketch_estimate_one_to_many(record_id, others)
-            passing &= estimates >= sketch_cutoff
-        return others[passing]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The backend's one filter kernel, over aligned pair arrays.
 
-    # ------------------------------------------------------------------ staged filtering (engine primitives)
-    def filter_point(
-        self,
-        record_id: int,
-        others: np.ndarray,
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray]:
-        """Filter stage of BRUTEFORCEPOINT: side mask, size probe, sketch filter.
-
-        Returns ``(pre_candidates, survivors)``: ``pre_candidates`` counts
-        every considered pair (after the side mask — in a side-aware
-        collection same-side pairs are not part of the workload) and
-        ``survivors`` the ids that must be verified exactly.
+        Returns the surviving ``(firsts, seconds)``: pairs whose measure-sizes
+        are compatible and, with ``use_sketches``, whose sketch estimate
+        ``1 - 2d/num_bits`` is at least ``sketch_cutoff``.
         """
-        others = np.asarray(others, dtype=np.intp)
-        if self.sides is not None and others.size:
-            others = others[self.sides[others] != self.sides[record_id]]
-        pre_candidates = int(others.size)
-        if pre_candidates == 0:
-            return 0, others
-        return pre_candidates, self._filter_one_to_many(record_id, others, use_sketches, sketch_cutoff)
+
+    def _filter_tasks(self, subsets, points, use_sketches: bool, sketch_cutoff: float):
+        return filter_task_pairs(
+            subsets,
+            points,
+            self.sides,
+            PAIR_BLOCK_BUDGET,
+            lambda firsts, seconds: self.filter_pairs(firsts, seconds, use_sketches, sketch_cutoff),
+        )
+
+    def filter_point(
+        self, record_id: int, others: Sequence[int], use_sketches: bool, sketch_cutoff: float
+    ) -> Tuple[int, np.ndarray]:
+        """Filter stage of BRUTEFORCEPOINT: returns ``(pre_candidates, survivors)``.
+
+        ``pre_candidates`` counts the pairs left after the side mask (in a
+        side-aware collection same-side pairs are not part of the workload);
+        ``survivors`` are the ids that must be verified exactly.
+        """
+        pre_candidates, _, survivors = self._filter_tasks(
+            (), [(record_id, others)], use_sketches, sketch_cutoff
+        )
+        return pre_candidates, survivors
 
     def filter_subset(
-        self,
-        subset: Sequence[int],
-        use_sketches: bool,
-        sketch_cutoff: float,
+        self, subset: Sequence[int], use_sketches: bool, sketch_cutoff: float
     ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Filter stage of BRUTEFORCEPAIRS over every pair within ``subset``.
-
-        Returns ``(pre_candidates, firsts, seconds)`` where the two id arrays
-        hold the filter-surviving pairs awaiting exact verification.  The
-        base implementation walks the subset row by row; backends may
-        override it with a block kernel.
-        """
-        subset = list(subset)
-        pre_candidates = 0
-        firsts: List[int] = []
-        seconds: List[int] = []
-        for position, record_id in enumerate(subset):
-            rest = subset[position + 1 :]
-            if not rest:
-                continue
-            pre, passing = self.filter_point(
-                record_id, np.asarray(rest, dtype=np.intp), use_sketches, sketch_cutoff
-            )
-            pre_candidates += pre
-            firsts.extend([record_id] * int(passing.size))
-            seconds.extend(int(other) for other in passing)
-        return (
-            pre_candidates,
-            np.asarray(firsts, dtype=np.intp),
-            np.asarray(seconds, dtype=np.intp),
-        )
+        """Filter stage of BRUTEFORCEPAIRS: returns ``(pre_candidates, firsts, seconds)``."""
+        return self._filter_tasks([subset], (), use_sketches, sketch_cutoff)
 
     # ------------------------------------------------------------------ exact verification
     @abstractmethod

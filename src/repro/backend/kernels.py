@@ -1,4 +1,8 @@
-"""Shared vectorized verification kernels over CSR-packed token arrays.
+"""Shared vectorized kernels: candidate-pair expansion and CSR verification.
+
+:func:`expand_pair_blocks` turns a flush of BRUTEFORCEPAIRS / BRUTEFORCEPOINT
+tasks into flat pair blocks, so the join engine filters a flush with one
+``filter_pairs`` call per block.
 
 The numpy execution backend and the :class:`repro.index.SimilarityIndex`
 both verify candidates with the same primitive: the exact intersection size
@@ -16,13 +20,18 @@ vectorized), so scalar and vectorized callers agree on every borderline pair.
 
 from __future__ import annotations
 
+from typing import Callable, Iterator, Optional, Sequence, Tuple
+
 import numpy as np
 
 from repro.hashing.sketch import popcount_rows
 
 __all__ = [
+    "PAIR_BLOCK_BUDGET",
     "csr_overlaps_one_to_many",
     "csr_weighted_overlaps_one_to_many",
+    "expand_pair_blocks",
+    "filter_task_pairs",
     "group_rows_first_occurrence",
     "overlap_jaccard",
     "required_overlaps",
@@ -40,6 +49,84 @@ def size_compatible_mask(
     repository (engine, backends, index) evaluates exactly this expression.
     """
     return (second_sizes >= threshold * first_sizes) & (first_sizes >= threshold * second_sizes)
+
+
+PAIR_BLOCK_BUDGET = 1 << 16
+"""Default pair budget of one expanded block (the engine's default batch budget)."""
+
+
+def expand_pair_blocks(
+    subsets: Sequence[Sequence[int]],
+    points: Sequence[Tuple[int, Sequence[int]]],
+    sides: Optional[np.ndarray],
+    budget: int,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Expand subset and point tasks into ``(firsts, seconds)`` pair blocks.
+
+    Every task is a set of *rows*, one record against a contiguous run of
+    others: a subset contributes its upper triangle row by row
+    (``subset[i]`` against ``subset[i+1:]``), a point task ``(anchor,
+    others)`` a single row.  All rows are laid over one concatenated id
+    array, so the expansion is a few ``repeat``/``arange`` passes however
+    many tasks there are.  Rows are cut into blocks after the first row
+    reaching each multiple of ``budget`` pairs: no block holds more than
+    ``budget`` pairs plus one row.  With ``sides`` (R ⋈ S labels) same-side
+    pairs are dropped from every block.
+    """
+    pieces = [subset for subset in subsets if len(subset) > 1]
+    num_subsets = len(pieces)
+    points = [point for point in points if len(point[1])]
+    pieces += [others for _, others in points]
+    if not pieces:
+        return
+    lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+    ids = np.concatenate(pieces).astype(np.intp, copy=False)
+    ends = np.cumsum(lengths)
+    # Subset rows: every position but the last of its subset, against the
+    # rest of its subset.
+    subset_ends = np.repeat(ends[:num_subsets], lengths[:num_subsets])
+    row_starts = np.arange(1, subset_ends.size + 1)
+    is_row = row_starts < subset_ends
+    anchors = np.array([anchor for anchor, _ in points], dtype=np.intp)
+    row_anchors = np.concatenate((ids[: subset_ends.size][is_row], anchors))
+    row_starts = np.concatenate((row_starts[is_row], (ends - lengths)[num_subsets:]))
+    row_lengths = np.concatenate((subset_ends[is_row], ends[num_subsets:])) - row_starts
+    pair_ends = np.cumsum(row_lengths)
+    pair_starts = pair_ends - row_lengths
+    # The partner of global pair p in row r sits at ids[p + row_offsets[r]].
+    row_offsets = row_starts - pair_starts
+    cuts = np.searchsorted(pair_ends, np.arange(budget, pair_ends[-1], budget)) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [row_lengths.size]))).tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block_lengths = row_lengths[start:stop]
+        pairs = np.arange(pair_starts[start], pair_ends[stop - 1])
+        firsts = np.repeat(row_anchors[start:stop], block_lengths)
+        seconds = ids[pairs + np.repeat(row_offsets[start:stop], block_lengths)]
+        if sides is not None:
+            cross = sides[firsts] != sides[seconds]
+            firsts, seconds = firsts[cross], seconds[cross]
+        yield firsts, seconds
+
+
+def filter_task_pairs(
+    subsets: Sequence[Sequence[int]],
+    points: Sequence[Tuple[int, Sequence[int]]],
+    sides: Optional[np.ndarray],
+    budget: int,
+    filter_pairs: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Run ``filter_pairs`` on every block of :func:`expand_pair_blocks`.
+
+    Returns ``(pre_candidates, firsts, seconds)``: the number of expanded
+    (side-masked) pairs and the concatenated survivors.
+    """
+    empty = np.zeros(0, dtype=np.intp)
+    pre_candidates, survivors = 0, [(empty, empty)]
+    for firsts, seconds in expand_pair_blocks(subsets, points, sides, budget):
+        pre_candidates += int(firsts.size)
+        survivors.append(filter_pairs(firsts, seconds))
+    firsts, seconds = zip(*survivors)
+    return pre_candidates, np.concatenate(firsts), np.concatenate(seconds)
 
 
 def sketch_estimates(

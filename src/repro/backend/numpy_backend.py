@@ -1,71 +1,41 @@
-"""Vectorized execution backend: block verification with numpy.
+"""Vectorized execution backend: block filtering and verification with numpy.
 
-The hot loops of the BRUTEFORCE step — exact verification of candidate pairs
-and the pairwise sketch filter — are executed over whole candidate blocks:
+* **Filter.** :meth:`NumpyBackend.filter_pairs` takes a flat pair block (one
+  per engine flush, see :func:`repro.backend.kernels.expand_pair_blocks`):
+  a vectorized size probe, then a *word-major* Hamming pass that gathers,
+  XORs and popcounts one contiguous sketch-word column at a time
+  (:meth:`~repro.core.preprocess.PreprocessedCollection.sketch_columns`)
+  into a small unsigned accumulator, compared against the integer bound
+  :meth:`NumpyBackend._max_sketch_distance` — no float estimate is formed.
+* **Verify.** The intersection of one record with a block of CSR-packed
+  candidates is a single ``searchsorted`` plus a segmented sum
+  (:func:`repro.backend.kernels.csr_overlaps_one_to_many`, shared with the
+  :class:`repro.index.SimilarityIndex` query kernels).
 
-* Token sets are packed once per collection into CSR-style arrays
-  (:meth:`repro.core.preprocess.PreprocessedCollection.packed_tokens`); the
-  intersection of one record with a block of candidates is a single
-  ``searchsorted`` over the concatenated candidate tokens followed by a
-  segmented sum (:func:`repro.backend.kernels.csr_overlaps_one_to_many`,
-  shared with the :class:`repro.index.SimilarityIndex` query kernels).
-* The BRUTEFORCEPAIRS filter stage materializes the upper triangle of a
-  subproblem, applies the size probe and the 1-bit sketch Hamming filter
-  (``np.bitwise_xor`` + byte popcount table) to all pairs at once; the
-  surviving pairs are verified by the grouped block verifier of the base
-  class.
-
-Acceptance is decided with the same integer overlap bound
-(:func:`repro.similarity.measures.required_overlap_for_jaccard`) as the
-scalar backend, so the verified pair sets are bit-for-bit identical.
+Both decide with the scalar backend's arithmetic (the same size-probe
+expression, a distance bound derived from its estimate comparison, the same
+integer overlap bound), so the verified pair sets are bit-for-bit identical.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.backend.base import ExecutionBackend
 from repro.backend.kernels import csr_overlaps_one_to_many, csr_weighted_overlaps_one_to_many
 from repro.core.preprocess import PreprocessedCollection
-from repro.hashing.sketch import _HAS_BITWISE_COUNT, popcount_rows
+from repro.hashing.sketch import _HAS_BITWISE_COUNT, popcount_words
 from repro.similarity.measures import Measure
 
 __all__ = ["NumpyBackend"]
 
 
-@lru_cache(maxsize=64)
-def _triu_indices(num_records: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached upper-triangle index pair for subsets of a given size.
-
-    The BRUTEFORCEPAIRS filter is called on thousands of subproblems capped
-    at the same ``limit``, so the index arrays repeat constantly.  The cache
-    is bounded: each entry costs two ``n(n-1)/2`` index arrays, so an
-    unbounded cache over all sizes up to :attr:`NumpyBackend.BLOCK_ROW_LIMIT`
-    could pin hundreds of megabytes in a long experiment process.
-    """
-    first, second = np.triu_indices(num_records, k=1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
-
-
 class NumpyBackend(ExecutionBackend):
-    """Vectorized verification backend over CSR-packed token arrays."""
+    """Vectorized filter and verification backend over CSR-packed token arrays."""
 
     name = "numpy"
-
-    # Above this subset size the all-pairs block kernel falls back to the
-    # row-by-row pipeline (still vectorized per row) to bound the memory of
-    # the materialized upper triangle.
-    BLOCK_ROW_LIMIT = 512
-
-    # At or below this subset size the all-pairs filter uses a scalar path:
-    # the recursion produces thousands of tiny buckets for which Python
-    # integer sketch arithmetic beats the fixed cost of numpy dispatches.
-    SMALL_ROW_LIMIT = 12
 
     def __init__(
         self,
@@ -75,8 +45,6 @@ class NumpyBackend(ExecutionBackend):
     ) -> None:
         super().__init__(collection, threshold, measure)
         self._values, self._offsets = collection.packed_tokens()
-        self._measure_size_list = self.measure_sizes.tolist()
-        self._sketch_ints = collection.sketch_bigints()
         self._sketch_distance_bounds: dict = {}
 
     # ------------------------------------------------------------------ exact verification
@@ -130,104 +98,35 @@ class NumpyBackend(ExecutionBackend):
         overlaps = self._overlaps_one_to_many(record_id, others)
         return overlaps >= self._required_overlaps(record_id, others)
 
-    # ------------------------------------------------------------------ all-pairs block filter
-    def filter_subset(
+    # ------------------------------------------------------------------ filtering
+    def filter_pairs(
         self,
-        subset: Sequence[int],
+        firsts: np.ndarray,
+        seconds: np.ndarray,
         use_sketches: bool,
         sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        subset = list(subset)
-        num_records = len(subset)
-        empty = np.zeros(0, dtype=np.intp)
-        if num_records < 2:
-            return 0, empty, empty
-        if num_records <= self.SMALL_ROW_LIMIT:
-            return self._filter_subset_small(subset, use_sketches, sketch_cutoff)
-        if num_records > self.BLOCK_ROW_LIMIT:
-            return super().filter_subset(subset, use_sketches, sketch_cutoff)
-
-        ids = np.asarray(subset, dtype=np.intp)
-        first_pos, second_pos = _triu_indices(num_records)
-        if self.sides is not None:
-            # Side mask first: in an R ⋈ S join same-side pairs are not part
-            # of the workload, so they are dropped before the size probe and
-            # the sketch filter and never counted as pre-candidates.
-            subset_sides = self.sides[ids]
-            cross = subset_sides[first_pos] != subset_sides[second_pos]
-            first_pos, second_pos = first_pos[cross], second_pos[cross]
-        pre_candidates = int(first_pos.size)
-        if pre_candidates == 0:
-            return 0, empty, empty
-
-        sizes = self.measure_sizes[ids]
-        passing = self.measure.size_compatible(sizes[first_pos], sizes[second_pos], self.threshold)
-        first_pos, second_pos = first_pos[passing], second_pos[passing]
-
-        if use_sketches and first_pos.size:
-            sketches = self.collection.sketches
-            words = sketches.words[ids]
-            # The gathered pair block is a private temporary, so the XOR and
-            # the popcount both run in place to avoid further allocations.
-            xored = words[first_pos]
-            np.bitwise_xor(xored, words[second_pos], out=xored)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        sizes = self.measure_sizes
+        passing = self.measure.size_compatible(sizes[firsts], sizes[seconds], self.threshold)
+        firsts, seconds = firsts[passing], seconds[passing]
+        count = firsts.size
+        if not use_sketches or count == 0:
+            return firsts, seconds
+        columns = self.collection.sketch_columns()
+        distances = np.zeros(count, dtype=np.min_scalar_type(self.collection.sketches.num_bits))
+        left = np.empty(count, dtype=columns.dtype)
+        right = np.empty(count, dtype=columns.dtype)
+        bits = np.empty(count, dtype=np.uint8)
+        for column in columns:
+            # ``take`` into preallocated buffers; "clip" skips the bounds-check
+            # buffering of the default mode (the ids are valid by construction).
+            np.take(column, firsts, out=left, mode="clip")
+            np.take(column, seconds, out=right, mode="clip")
+            np.bitwise_xor(left, right, out=left)
             if _HAS_BITWISE_COUNT:
-                np.bitwise_count(xored, out=xored)
-                distances = xored.sum(axis=1, dtype=np.int64)
+                np.bitwise_count(left, out=bits)
+                distances += bits
             else:
-                distances = popcount_rows(xored)
-            surviving = distances <= self._max_sketch_distance(sketch_cutoff)
-            first_pos, second_pos = first_pos[surviving], second_pos[surviving]
-
-        return pre_candidates, ids[first_pos], ids[second_pos]
-
-    def _filter_subset_small(
-        self,
-        subset: List[int],
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Scalar all-pairs filter for tiny subproblems.
-
-        Arithmetically identical to the block kernel: the same size probe and
-        the same sketch estimate ``1 - 2d/num_bits`` (evaluated on the same
-        IEEE doubles, with the Hamming distance taken by ``int.bit_count``
-        on the cached big-integer sketches).
-        """
-        num_records = len(subset)
-        sides = self.sides
-        if sides is None:
-            pre_candidates = num_records * (num_records - 1) // 2
-        else:
-            # Only cross-side pairs count: with n₀ R-records and n₁ S-records
-            # in the subset, the workload is n₀ · n₁ pairs.
-            num_right = int(np.count_nonzero(sides[np.asarray(subset, dtype=np.intp)]))
-            pre_candidates = num_right * (num_records - num_right)
-        firsts: List[int] = []
-        seconds: List[int] = []
-        sizes = self._measure_size_list
-        sketch_ints = self._sketch_ints
-        num_bits = self.collection.sketches.num_bits
-        threshold = self.threshold
-        size_compatible_one = self.measure.size_compatible_one
-        for position in range(num_records):
-            record_id = subset[position]
-            size_first = sizes[record_id]
-            for other_position in range(position + 1, num_records):
-                other_id = subset[other_position]
-                if sides is not None and sides[record_id] == sides[other_id]:
-                    continue
-                size_second = sizes[other_id]
-                if not size_compatible_one(size_first, size_second, threshold):
-                    continue
-                if use_sketches:
-                    distance = (sketch_ints[record_id] ^ sketch_ints[other_id]).bit_count()
-                    if 1.0 - 2.0 * distance / num_bits < sketch_cutoff:
-                        continue
-                firsts.append(record_id)
-                seconds.append(other_id)
-        return (
-            pre_candidates,
-            np.asarray(firsts, dtype=np.intp),
-            np.asarray(seconds, dtype=np.intp),
-        )
+                np.add(distances, popcount_words(left), out=distances, casting="unsafe")
+        surviving = distances <= self._max_sketch_distance(sketch_cutoff)
+        return firsts[surviving], seconds[surviving]

@@ -1,10 +1,13 @@
-"""Reference execution backend: per-pair verification in pure Python.
+"""Reference execution backend: per-pair filtering and verification in pure Python.
 
-This backend reproduces the seed implementation's semantics exactly: every
-candidate surviving the size and sketch filters is verified with the
-early-terminating merge of :func:`repro.similarity.verify.verify_pair_sorted`,
-one pair at a time.  It is the correctness baseline the vectorized backends
-are tested against.
+This backend reproduces the seed implementation's semantics exactly, one
+pair at a time: the size probe is the scalar
+:meth:`~repro.similarity.measures.Measure.size_compatible_one`, the sketch
+filter takes the Hamming distance with ``int.bit_count`` on the collection's
+big-integer sketches and compares the float estimate ``1 - 2d/num_bits``
+against the cut-off, and every survivor is verified with the
+early-terminating merge of :func:`repro.similarity.verify.verify_pair_sorted`.
+It is the oracle the vectorized backend is tested against.
 
 The scalar merge wants plain Python tuples, so this backend reads the
 collection's lazy ``records`` view — materialized from the record store's
@@ -13,6 +16,8 @@ that O(total tokens) cost on first use, never per repetition).
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -26,6 +31,31 @@ class PythonBackend(ExecutionBackend):
     """Scalar verification backend (the seed semantics)."""
 
     name = "python"
+
+    def filter_pairs(
+        self,
+        firsts: np.ndarray,
+        seconds: np.ndarray,
+        use_sketches: bool,
+        sketch_cutoff: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        sizes = self.measure_sizes.tolist()
+        threshold = self.threshold
+        size_compatible_one = self.measure.size_compatible_one
+        sketch_ints = self.collection.sketch_bigints() if use_sketches else None
+        num_bits = self.collection.sketches.num_bits
+        surviving = [
+            position
+            for position, (first, second) in enumerate(zip(firsts.tolist(), seconds.tolist()))
+            if size_compatible_one(sizes[first], sizes[second], threshold)
+            and not (
+                use_sketches
+                and 1.0 - 2.0 * (sketch_ints[first] ^ sketch_ints[second]).bit_count() / num_bits
+                < sketch_cutoff
+            )
+        ]
+        surviving = np.asarray(surviving, dtype=np.intp)
+        return firsts[surviving], seconds[surviving]
 
     def verify_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
         record = self.collection.records[record_id]

@@ -42,9 +42,9 @@ class PreprocessedCollection:
     A thin view over a :class:`repro.store.RecordStore`: ``signatures``,
     ``sketches``, ``sides`` and the CSR token arrays are zero-copy views of
     the store's flat arrays, while ``records`` (Python tuples, used by the
-    scalar reference backend and exact verification) and ``sketch_bigints``
-    are materialized lazily and cached — at most once per process, never per
-    repetition.
+    scalar reference backend and exact verification), ``sketch_bigints`` and
+    ``sketch_columns`` are materialized lazily and cached — at most once per
+    process, never per repetition.
 
     Attributes
     ----------
@@ -59,6 +59,7 @@ class PreprocessedCollection:
         self._signatures: Optional[MinHashSignatures] = None
         self._sketches: Optional[OneBitMinHashSketches] = None
         self._sketch_bigints: Optional[List[int]] = None
+        self._sketch_columns: Optional[np.ndarray] = None
         self._sketch_bits: Optional[np.ndarray] = None
         self._sketch_bits_built = False
         self._signature_ranks: Optional[np.ndarray] = None
@@ -131,9 +132,9 @@ class PreprocessedCollection:
     def sketch_bigints(self) -> List[int]:
         """Each record's 1-bit sketch as one Python integer, built lazily.
 
-        The scalar fast paths compare sketches with ``int.bit_count()`` on
-        these arbitrary-precision integers instead of dispatching numpy calls
-        on tiny arrays; cached per process.  Concurrent first calls from
+        The scalar reference filter (the python backend) compares sketches
+        with ``int.bit_count()`` on these arbitrary-precision integers;
+        cached per process.  Concurrent first calls from
         parallel repetition threads are a benign race: both compute the same
         list and the last assignment wins.
         """
@@ -146,6 +147,17 @@ class PreprocessedCollection:
                 for index in range(words.shape[0])
             ]
         return self._sketch_bigints
+
+    def sketch_columns(self) -> np.ndarray:
+        """Sketch words transposed to ``(ℓ, n)``: word ``w`` of every record, contiguous.
+
+        Read by the numpy backend's word-major Hamming pass; built on the
+        first sketch-filtered join (never during preprocessing) and cached
+        like :meth:`sketch_bigints`.
+        """
+        if self._sketch_columns is None:
+            self._sketch_columns = np.ascontiguousarray(self.store.sketch_words.T)
+        return self._sketch_columns
 
     def signature_rank_matrix(self) -> np.ndarray:
         """Per-column dense ranks of the MinHash signature matrix, cached.

@@ -15,9 +15,11 @@ everything the three historical drivers used to hand-roll separately:
   collection into the backend filter kernels, so same-side pairs are dropped
   before any counting regardless of the algorithm;
 * **memory-bounded batching** — tasks are drained from the candidate stage
-  and flushed through filter + verify whenever the accumulated candidate
-  count reaches ``batch_budget``, so the engine never materializes more than
-  one batch of survivor arrays at a time.
+  and flushed through filter + verify before the accumulated candidate count
+  would exceed ``batch_budget``.  A flush is expanded into flat pair blocks
+  and filtered with one call per block; a single task above the budget is
+  expanded in row ranges, so no block holds more than ``batch_budget`` pairs
+  plus one row.
 
 Because candidate generation is the only randomized stage and verification
 never feeds back into it, the staged execution is bit-for-bit equivalent to
@@ -32,6 +34,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.backend import ExecutionBackend, make_backend
+from repro.backend.kernels import PAIR_BLOCK_BUDGET, filter_task_pairs
 from repro.core.preprocess import PreprocessedCollection
 from repro.engine.stages import (
     CandidateStage,
@@ -76,12 +79,13 @@ class JoinEngine:
         verification kernels score under.  Ignored when ``backend`` is an
         already constructed instance (the instance's measure wins).
     batch_budget:
-        Maximum number of pre-filter candidate pairs accumulated before a
-        batch is flushed through the filter and verify stages (bounds the
-        engine's working memory).
+        Maximum number of pre-filter candidate pairs accumulated into one
+        flush through the filter and verify stages, and the block size a
+        larger single task is expanded in (bounds the engine's working
+        memory).
     """
 
-    DEFAULT_BATCH_BUDGET = 1 << 16
+    DEFAULT_BATCH_BUDGET = PAIR_BLOCK_BUDGET
 
     def __init__(
         self,
@@ -165,12 +169,12 @@ class JoinEngine:
                 stats.candidate_seconds += time.perf_counter() - started
                 if task is None:
                     break
-                pending.append(task)
-                pending_cost += task.cost
-                if pending_cost >= self.batch_budget:
+                if pending and pending_cost + task.cost > self.batch_budget:
                     self._flush(pending, stats, filter_stage, dedup)
                     pending = []
                     pending_cost = 0
+                pending.append(task)
+                pending_cost += task.cost
             if pending:
                 self._flush(pending, stats, filter_stage, dedup)
             if engine_span.enabled:
@@ -189,51 +193,44 @@ class JoinEngine:
         filter_stage: SketchFilterStage,
         dedup: DedupStage,
     ) -> None:
-        """Filter one task batch, then verify the concatenated survivors."""
+        """Filter one task batch, one ``filter_pairs`` call per pair block, then verify.
+
+        Subset and point tasks expand into side-masked pair blocks counted as
+        pre-candidates; :class:`PairCandidates` streams (counted by their
+        producer) are deduplicated and side-masked into one more block.
+        """
         started = time.perf_counter()
         with span("engine.filter", tasks=len(tasks)) as filter_span:
-            surviving_firsts: List[np.ndarray] = []
-            surviving_seconds: List[np.ndarray] = []
-            for task in tasks:
-                if isinstance(task, SubsetCandidates):
-                    pre, firsts, seconds = filter_stage.filter_subset(task.subset)
-                    stats.pre_candidates += pre
-                elif isinstance(task, PointCandidates):
-                    pre, firsts, seconds = filter_stage.filter_point(task.anchor, task.others)
-                    stats.pre_candidates += pre
-                elif isinstance(task, PairCandidates):
-                    # Raw emissions were counted by the producer; dedup here.
-                    fresh = dedup.unique_candidates(task.pairs)
-                    if not fresh:
-                        continue
-                    pairs_array = np.asarray(fresh, dtype=np.intp)
-                    firsts, seconds = pairs_array[:, 0], pairs_array[:, 1]
-                    # Side mask is an engine invariant, not producer discipline:
-                    # in a side-aware collection same-side pairs are dropped
-                    # before any filter sees them, whatever the candidate stage
-                    # emitted.
-                    sides = self.backend.sides
-                    if sides is not None:
-                        cross = sides[firsts] != sides[seconds]
-                        firsts, seconds = firsts[cross], seconds[cross]
-                        if firsts.size == 0:
-                            continue
-                    firsts, seconds = filter_stage.filter_pairs(firsts, seconds)
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown candidate task {task!r}")
-                if firsts.size:
-                    surviving_firsts.append(firsts)
-                    surviving_seconds.append(seconds)
-            if surviving_firsts:
-                firsts = np.concatenate(surviving_firsts)
-                seconds = np.concatenate(surviving_seconds)
-            else:
-                firsts = seconds = np.zeros(0, dtype=np.intp)
+            subsets = [task.subset for task in tasks if isinstance(task, SubsetCandidates)]
+            points = [(task.anchor, task.others) for task in tasks if isinstance(task, PointCandidates)]
+            pairs = [pair for task in tasks if isinstance(task, PairCandidates) for pair in task.pairs]
+            sides = self.backend.sides
+            pre_candidates, firsts, seconds = filter_task_pairs(
+                subsets, points, sides, self.batch_budget, filter_stage.filter_pairs
+            )
+            stats.pre_candidates += pre_candidates
+            pairs_in = pre_candidates
+            fresh = dedup.unique_candidates(pairs)
+            if fresh:
+                pairs_array = np.asarray(fresh, dtype=np.intp)
+                pair_firsts, pair_seconds = pairs_array[:, 0], pairs_array[:, 1]
+                # Side mask is an engine invariant, not producer discipline:
+                # in a side-aware collection same-side pairs are dropped
+                # before any filter sees them, whatever the candidate stage
+                # emitted.
+                if sides is not None:
+                    cross = sides[pair_firsts] != sides[pair_seconds]
+                    pair_firsts, pair_seconds = pair_firsts[cross], pair_seconds[cross]
+                pairs_in += int(pair_firsts.size)
+                if pair_firsts.size:
+                    pair_firsts, pair_seconds = filter_stage.filter_pairs(pair_firsts, pair_seconds)
+                    firsts = np.concatenate((firsts, pair_firsts))
+                    seconds = np.concatenate((seconds, pair_seconds))
             stats.candidates += int(firsts.size)
             stats.verified += int(firsts.size)
             stats.filter_seconds += time.perf_counter() - started
             if filter_span.enabled:
-                filter_span.annotate(survivors=int(firsts.size))
+                filter_span.annotate(pairs_in=pairs_in, survivors=int(firsts.size))
                 event("engine.dedup", seen_candidates=dedup.seen_candidates)
 
         started = time.perf_counter()

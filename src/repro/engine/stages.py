@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.backend import ExecutionBackend
-from repro.backend.kernels import sketch_estimates
+from repro.backend.kernels import PAIR_BLOCK_BUDGET, filter_task_pairs
 from repro.result import canonical_pair
 
 __all__ = [
@@ -159,9 +159,12 @@ class DedupStage:
 class SketchFilterStage:
     """Side mask + size probe + 1-bit sketch filter with a fixed cut-off ``λ̂``.
 
-    The arithmetic is delegated to the execution backend, which implements
-    the subset filter as a vectorized block kernel (numpy) or a row walk
-    (python) — identical survivors either way.
+    The engine calls :meth:`filter_pairs` once per expanded pair block; it
+    delegates to the backend's one filter kernel (word-major numpy or the
+    scalar python oracle — identical survivors).  Algorithms with another
+    pruning rule override it (BayesLSH's posterior check).
+    :meth:`filter_subset` / :meth:`filter_point` filter one task through the
+    same expansion and :meth:`filter_pairs`.
     """
 
     def __init__(self, backend: ExecutionBackend, use_sketches: bool, sketch_cutoff: float) -> None:
@@ -171,36 +174,21 @@ class SketchFilterStage:
 
     def filter_subset(self, subset: Sequence[int]) -> Tuple[int, np.ndarray, np.ndarray]:
         """Filter all pairs within a subset; returns ``(pre, firsts, seconds)``."""
-        return self.backend.filter_subset(subset, self.use_sketches, self.sketch_cutoff)
+        return filter_task_pairs(
+            [subset], (), self.backend.sides, PAIR_BLOCK_BUDGET, self.filter_pairs
+        )
 
     def filter_point(self, anchor: int, others: Sequence[int]) -> Tuple[int, np.ndarray, np.ndarray]:
         """Filter one record against a subset; returns ``(pre, firsts, seconds)``."""
-        pre, passing = self.backend.filter_point(
-            anchor, np.asarray(others, dtype=np.intp), self.use_sketches, self.sketch_cutoff
+        return filter_task_pairs(
+            (), [(anchor, others)], self.backend.sides, PAIR_BLOCK_BUDGET, self.filter_pairs
         )
-        firsts = np.full(passing.size, anchor, dtype=np.intp)
-        return pre, firsts, passing.astype(np.intp, copy=False)
 
     def filter_pairs(self, firsts: np.ndarray, seconds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Filter an explicit (already deduplicated) block of pairs.
-
-        The base implementation applies the shared size-probe and
-        sketch-estimate kernels pairwise; subclasses may substitute an
-        entirely different pruning rule (BayesLSH's incremental posterior
-        check).
-        """
+        """Filter an aligned block of (already side-masked) pairs; returns the survivors."""
         if firsts.size == 0:
             return firsts, seconds
-        backend = self.backend
-        sizes = backend.measure_sizes
-        passing = backend.measure.size_compatible(sizes[firsts], sizes[seconds], backend.threshold)
-        if self.use_sketches:
-            sketches = backend.collection.sketches
-            estimates = sketch_estimates(
-                sketches.words[firsts], sketches.words[seconds], sketches.num_bits
-            )
-            passing &= estimates >= self.sketch_cutoff
-        return firsts[passing], seconds[passing]
+        return self.backend.filter_pairs(firsts, seconds, self.use_sketches, self.sketch_cutoff)
 
 
 # ---------------------------------------------------------------- verify stage

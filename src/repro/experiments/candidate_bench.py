@@ -69,7 +69,7 @@ def run(
         # Warm the reusable per-collection artefacts once up front (the
         # paper's protocol: preprocessing is excluded from join time).  Both
         # walks share them, so neither is charged the one-time build.
-        collection.sketch_bigints()
+        collection.sketch_columns()
         collection.sketch_bit_matrix()
         collection.signature_rank_matrix()
 

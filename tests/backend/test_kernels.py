@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.backend import BACKEND_NAMES, NumpyBackend, PythonBackend, make_backend
+from repro.backend.kernels import expand_pair_blocks
 from repro.core.preprocess import preprocess_collection
 from repro.similarity.measures import jaccard_similarity
 from repro.similarity.verify import verify_pair_sorted
@@ -111,8 +112,8 @@ class TestAllPairsKernels:
     @pytest.mark.parametrize("use_sketches", [True, False])
     @pytest.mark.parametrize("subset_size", [2, 3, 7, 12, 13, 40, 120])
     def test_all_pairs_matches_reference(self, collection, use_sketches, subset_size) -> None:
-        # Sizes straddle SMALL_ROW_LIMIT (12) to cover the scalar fast path,
-        # the block kernel, and the boundary between them.
+        # The numpy word-major filter against the scalar per-pair oracle,
+        # from a single pair up to a subset of every record.
         threshold = 0.5
         python_backend = PythonBackend(collection, threshold)
         numpy_backend = NumpyBackend(collection, threshold)
@@ -123,18 +124,65 @@ class TestAllPairsKernels:
         actual = numpy_backend.all_pairs(subset, use_sketches, cutoff)
         assert actual == expected  # (pre_candidates, verified, accepted pairs)
 
-    def test_block_fallback_above_row_limit(self, collection, monkeypatch) -> None:
-        monkeypatch.setattr(NumpyBackend, "BLOCK_ROW_LIMIT", 16)
-        threshold = 0.5
-        python_backend = PythonBackend(collection, threshold)
-        numpy_backend = NumpyBackend(collection, threshold)
-        subset = list(range(30))
-        assert numpy_backend.all_pairs(subset, True, 0.3) == python_backend.all_pairs(subset, True, 0.3)
-
     def test_trivial_subsets(self, collection) -> None:
         backend = NumpyBackend(collection, 0.5)
         assert backend.all_pairs([], True, 0.3) == (0, 0, set())
         assert backend.all_pairs([4], True, 0.3) == (0, 0, set())
+
+
+class TestExpandPairBlocks:
+    @staticmethod
+    def _reference(subsets, points, sides=None):
+        pairs = []
+        for subset in subsets:
+            subset = list(subset)
+            for position, first in enumerate(subset):
+                pairs.extend((first, second) for second in subset[position + 1 :])
+        for anchor, others in points:
+            pairs.extend((anchor, int(other)) for other in others)
+        if sides is not None:
+            pairs = [pair for pair in pairs if sides[pair[0]] != sides[pair[1]]]
+        return pairs
+
+    @staticmethod
+    def _expand(subsets, points, sides, budget):
+        blocks = list(expand_pair_blocks(subsets, points, sides, budget))
+        pairs = [
+            (int(first), int(second))
+            for firsts, seconds in blocks
+            for first, second in zip(firsts, seconds)
+        ]
+        return blocks, pairs
+
+    def test_segmented_triangle_and_rows_in_order(self) -> None:
+        subsets = [(5, 1, 9), (), (4,), np.array([7, 2, 8, 3]), (0, 6)]
+        points = [(11, (12, 13)), (14, ()), (15, np.array([16]))]
+        blocks, pairs = self._expand(subsets, points, None, 1 << 16)
+        assert len(blocks) == 1
+        assert pairs == self._reference(subsets, points)
+        assert all(block.dtype == np.intp for pair in blocks for block in pair)
+
+    def test_nothing_to_expand(self) -> None:
+        assert list(expand_pair_blocks([(), (3,)], [(1, ())], None, 8)) == []
+
+    def test_side_mask(self) -> None:
+        sides = np.array([0, 1] * 10, dtype=np.int8)
+        subsets = [tuple(range(9)), (10, 12, 14)]
+        points = [(1, np.arange(10, 20))]
+        _, pairs = self._expand(subsets, points, sides, 1 << 16)
+        assert pairs == self._reference(subsets, points, sides)
+
+    @pytest.mark.parametrize("budget", [1, 5, 16, 40])
+    def test_blocks_hold_at_most_budget_plus_one_row(self, budget) -> None:
+        # Replaces the old BLOCK_ROW_LIMIT row fallback: the budget now
+        # bounds every block of a large subset, cut at row boundaries.
+        subsets = [tuple(range(30)), tuple(range(40, 47))]
+        points = [(99, tuple(range(50, 75)))]
+        blocks, pairs = self._expand(subsets, points, None, budget)
+        assert pairs == self._reference(subsets, points)
+        for firsts, _ in blocks:
+            last_row = int(np.count_nonzero(firsts == firsts[-1]))
+            assert firsts.size - last_row < budget
 
 
 class TestAverageSimilarities:

@@ -70,6 +70,22 @@ class TestPairSetParity:
         names = {record["name"] for record in sink_records}
         assert {"engine.execute", "engine.filter", "engine.verify"} <= names
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_filter_span_reports_pairs_in(self, dataset, backend) -> None:
+        sink_records = []
+        enable_tracing(sink_records.append)
+        _, stats = _join_pairs(dataset, backend=backend)
+        filter_spans = [record for record in sink_records if record["name"] == "engine.filter"]
+        assert filter_spans
+        for record in filter_spans:
+            extra = record["extra"]
+            assert extra["tasks"] >= 1
+            assert 0 <= extra["survivors"] <= extra["pairs_in"]
+        # CPSJOIN emits subset and point tasks only: every expanded pair is
+        # a pre-candidate and every survivor a candidate.
+        assert sum(record["extra"]["pairs_in"] for record in filter_spans) == stats.pre_candidates
+        assert sum(record["extra"]["survivors"] for record in filter_spans) == stats.candidates
+
     def test_threaded_executor_identical_with_observability_enabled(self, dataset) -> None:
         baseline_pairs, _ = _join_pairs(dataset, workers=2, executor="threads")
         enable_tracing(lambda record: None)
