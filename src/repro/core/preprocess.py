@@ -5,20 +5,24 @@ to a length-``t`` MinHash signature (the embedding of Section II-A) and to a
 1-bit minwise sketch of ``64 · ℓ`` bits.  The paper notes that this
 preprocessing is reusable across joins with different thresholds and
 therefore not counted in the reported join times; we follow the same
-convention — the artefacts are built once per dataset and passed to the join
-engines, with construction time reported separately in
-:class:`repro.result.JoinStats.preprocessing_seconds`.
+convention for the join times and report the construction time next to them
+in :class:`repro.result.JoinStats.preprocessing_seconds`.
 
-Since the shared-memory refactor, the artefacts themselves live in a
-:class:`repro.store.RecordStore` — flat numpy arrays (CSR token values and
-offsets, the signature matrix, packed sketches, record sizes, optional
-R ⋈ S side labels) that can be placed in a shared-memory segment and
-attached zero-copy by worker processes.  :class:`PreprocessedCollection` is
-a thin view over a store: it adds the lazily cached conveniences the scalar
-code paths want (record tuples, big-integer sketches) but owns no data of
-its own, so handing a collection to the process executor ships only the
-store's tiny :class:`repro.store.StoreHandle` — never pickled record
-objects.
+Both artefacts come from block kernels over the CSR-packed tokens
+(:func:`repro.hashing.minhash.minhash_csr` and
+:func:`repro.hashing.sketch.pack_sketch_rows`) with bounded transient memory,
+and show up at runtime as a ``preprocess`` span with ``minhash`` and
+``sketch`` children.
+
+The artefacts themselves live in a :class:`repro.store.RecordStore` — flat
+numpy arrays (CSR token values and offsets, the signature matrix, packed
+sketches, record sizes, optional R ⋈ S side labels) that can be placed in a
+shared-memory segment and attached zero-copy by worker processes.
+:class:`PreprocessedCollection` is a thin view over a store: it adds the
+lazily cached conveniences the scalar code paths want (record tuples,
+big-integer sketches) but owns no data of its own, so handing a collection
+to the process executor ships only the store's tiny
+:class:`repro.store.StoreHandle` — never pickled record objects.
 """
 
 from __future__ import annotations
@@ -224,7 +228,8 @@ def preprocess_collection(
     Parameters
     ----------
     records:
-        The collection; every record must be non-empty.
+        The collection; every record must be non-empty and every token a
+        32-bit hash key in ``[0, 2**32)`` (:class:`ValueError` otherwise).
     embedding_size:
         Number of MinHash functions ``t``.
     sketch_words:

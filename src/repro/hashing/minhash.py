@@ -18,18 +18,90 @@ artefact used by
   coordinates, and
 * the 1-bit minwise sketches, which hash each signature coordinate down to a
   single bit.
+
+Every signature, for one record or a whole collection, comes from one block
+kernel (:func:`minhash_csr`) over CSR-packed tokens (:func:`pack_records`):
+each *distinct* token is tabulated once into a ``(t, U)`` table, then blocks
+of about :data:`GATHER_BLOCK_ELEMENTS` gathered table columns are reduced per
+record with ``np.minimum.reduceat``.  Collections repeat tokens heavily, so
+this removes almost all hashing work, and the blocks bound the transient
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hashing.tabulation import TabulationHashFamily, tabulate_many_functions
 
-__all__ = ["MinHasher", "MinHashSignatures"]
+__all__ = ["MinHasher", "MinHashSignatures", "minhash_csr", "pack_records"]
+
+KEY_LIMIT = 2**32
+"""Tabulation keys are 32-bit: every token must lie in ``[0, KEY_LIMIT)``."""
+
+GATHER_BLOCK_ELEMENTS = 1 << 18
+"""Hash values gathered per reduction block (``t × tokens``; 2 MiB of uint64).
+
+Measured on the join benchmarks: blocks above ``2**20`` elements were slower
+on both collections."""
+
+
+def pack_records(records: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR-pack records into ``(values, offsets)``, both ``int64``.
+
+    Record ``i`` occupies ``values[offsets[i]:offsets[i + 1]]``.  A token
+    outside ``int64`` raises :class:`ValueError` naming it.
+    """
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, records), dtype=np.int64, count=len(records)), out=offsets[1:])
+    try:
+        values = np.fromiter(
+            chain.from_iterable(records), dtype=np.int64, count=int(offsets[-1])
+        )
+    except OverflowError:
+        offender = next(
+            token for token in chain.from_iterable(records) if not -(2**63) <= token < 2**63
+        )
+        raise ValueError(f"token {offender} is not a 32-bit tabulation key") from None
+    return values, offsets
+
+
+def minhash_csr(tables: np.ndarray, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """MinHash signatures of CSR-packed records as an ``(n, t)`` uint64 matrix.
+
+    ``tables`` are the ``(t, 4, 256)`` character tables of the ``t``
+    tabulation functions; entry ``(r, i)`` of the result is the minimum of
+    function ``i`` over record ``r``'s tokens.  Duplicate tokens inside a
+    record do not change the result.  Raises :class:`ValueError` for an
+    empty record or a token outside ``[0, 2**32)``, before any hashing.
+    """
+    num_records = offsets.shape[0] - 1
+    if num_records and np.diff(offsets).min() == 0:
+        raise ValueError("cannot MinHash an empty record")
+    distinct, inverse = np.unique(values, return_inverse=True)
+    if distinct.size and (distinct[0] < 0 or distinct[-1] >= KEY_LIMIT):
+        offender = distinct[0] if distinct[0] < 0 else distinct[-1]
+        raise ValueError(f"token {int(offender)} is not a 32-bit tabulation key")
+    table = tabulate_many_functions(tables, distinct.astype(np.uint32))  # (t, U)
+    num_functions = tables.shape[0]
+    matrix = np.empty((num_records, num_functions), dtype=np.uint64)
+    block_tokens = max(1, GATHER_BLOCK_ELEMENTS // num_functions)
+    start = 0
+    while start < num_records:
+        low = offsets[start]
+        # The last record boundary within the block budget (at least one record).
+        stop = int(np.searchsorted(offsets, low + block_tokens, side="right")) - 1
+        stop = max(stop, start + 1)
+        gathered = np.take(table, inverse[low : offsets[stop]], axis=1)  # (t, k)
+        matrix[start:stop] = np.minimum.reduceat(
+            gathered, offsets[start:stop] - low, axis=1
+        ).T
+        start = stop
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -110,18 +182,22 @@ class MinHasher:
         Each coordinate ``i`` is ``min_{j in tokens} g_i(j)`` where ``g_i`` is
         the ``i``-th tabulation hash function.
         """
-        if len(tokens) == 0:
-            raise ValueError("cannot MinHash an empty record")
-        token_array = np.asarray(list(tokens), dtype=np.uint32)
-        values = tabulate_many_functions(self._tables, token_array)
-        return values.min(axis=1)
+        values, offsets = pack_records([tokens])
+        return minhash_csr(self._tables, values, offsets)[0]
 
-    def signatures(self, records: Sequence[Sequence[int]]) -> MinHashSignatures:
-        """Compute signatures for a whole collection of records."""
-        matrix = np.empty((len(records), self.num_functions), dtype=np.uint64)
-        for index, record in enumerate(records):
-            matrix[index] = self.signature(record)
-        return MinHashSignatures(matrix=matrix)
+    def signatures(
+        self,
+        records: Sequence[Sequence[int]],
+        packed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> MinHashSignatures:
+        """Compute signatures for a whole collection of records.
+
+        ``packed`` is the collection's ``(values, offsets)`` from
+        :func:`pack_records`, when the caller already holds it; the records
+        are then not packed a second time.
+        """
+        values, offsets = pack_records(records) if packed is None else packed
+        return MinHashSignatures(matrix=minhash_csr(self._tables, values, offsets))
 
     def collision_probability(self, jaccard: float) -> float:
         """Probability that a single MinHash coordinate collides at similarity ``jaccard``."""

@@ -12,9 +12,12 @@ The joins use the estimator as a cheap filter: a candidate pair is discarded
 when ``Ĵ < λ̂`` where ``λ̂`` is chosen (``sketch_similarity_threshold``) so that
 a true positive (``J ≥ λ``) is discarded with probability at most ``δ``.
 
-Sketches are packed into numpy ``uint64`` words; Hamming distances are
-computed with a byte-level popcount table, the pure-Python stand-in for the
-paper's ``_mm_popcnt_u64`` instruction.
+Sketches are packed into numpy ``uint64`` words, bit ``j`` of word ``w``
+holding sketch bit ``64 * w + j``.  :func:`pack_sketch_rows` derives and packs
+them in bounded blocks of :data:`PACK_BLOCK_ROWS` records.  Hamming distances
+use numpy's ``np.bitwise_count`` popcount ufunc, the counterpart of the
+paper's ``_mm_popcnt_u64`` instruction; a byte-level lookup table stands in
+on numpy releases older than 2.0.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ __all__ = [
 ]
 
 _WORD_BITS = 64
+
+PACK_BLOCK_ROWS = 256
+"""Records packed per block by :func:`pack_sketch_rows` (1 MiB of products at ℓ = 8)."""
 
 # Lookup table with the popcount of every byte value; viewing a uint64 array as
 # uint8 and summing table entries gives the total popcount.  Used as the
@@ -179,17 +185,24 @@ def pack_sketch_rows(
 
     Bit ``b`` of a record's sketch is the top bit of
     ``multipliers[b] * signature[coordinates[b]]``; bit ``w*64 + j`` lands in
-    bit ``j`` of word ``w``.
+    bit ``j`` of word ``w``.  The records are processed
+    :data:`PACK_BLOCK_ROWS` at a time, so the transient products stay small
+    whatever the collection size.
     """
+    signature_matrix = np.asarray(signature_matrix, dtype=np.uint64)
     num_records = signature_matrix.shape[0]
-    selected = signature_matrix[:, coordinates]  # (num_records, num_bits)
-    with np.errstate(over="ignore"):
-        mixed = selected * multipliers
-    bits = (mixed >> np.uint64(63)).astype(np.uint64)  # top bit of the product
-    bits = bits.reshape(num_records, num_words, _WORD_BITS)
-    packed = np.zeros((num_records, num_words), dtype=np.uint64)
-    for bit_position in range(_WORD_BITS):
-        packed |= bits[:, :, bit_position] << np.uint64(bit_position)
+    packed = np.empty((num_records, num_words), dtype=np.uint64)
+    for start in range(0, num_records, PACK_BLOCK_ROWS):
+        stop = min(start + PACK_BLOCK_ROWS, num_records)
+        products = signature_matrix[start:stop, coordinates]  # (rows, num_bits) copy
+        with np.errstate(over="ignore"):
+            np.multiply(products, multipliers, out=products)
+        np.right_shift(products, np.uint64(63), out=products)  # top bit of each product
+        # Rows are whole words, so packing the flat block keeps them apart.
+        # Little-endian bit order within each byte and little-endian words:
+        # bit j of word w is sketch bit 64w + j on any host.
+        words = np.packbits(products, bitorder="little").view("<u8")
+        packed[start:stop] = words.reshape(stop - start, num_words)
     return packed
 
 

@@ -92,10 +92,13 @@ class ChosenPathIndex:
         pass.  ``UniformHash.value`` masks its key to 32 bits while the
         vectorized ``values`` does not, so the tokens are masked here once —
         keeping the branching decisions (and therefore existing persisted
-        buckets) identical to the scalar per-token loop.
+        buckets) identical to the scalar per-token loop, negative tokens
+        included (their two's-complement low 32 bits).
         """
         branch_probability = min(1.0, 1.0 / (self.threshold * len(record)))
-        tokens = np.asarray(record, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+        tokens = np.fromiter(
+            (token & 0xFFFFFFFF for token in record), dtype=np.uint64, count=len(record)
+        )
         frontier: List[Tuple[int, ...]] = [()]
         for _ in range(self.depth):
             next_frontier: List[Tuple[int, ...]] = []
@@ -118,10 +121,11 @@ class ChosenPathIndex:
         record_tuple = tuple(sorted(set(int(token) for token in record)))
         if not record_tuple:
             raise ValueError("cannot index an empty record")
+        paths = [self._paths_of(record_tuple, tree) for tree in range(self.repetitions)]
         record_id = len(self._records)
         self._records.append(record_tuple)
-        for tree in range(self.repetitions):
-            for path in self._paths_of(record_tuple, tree):
+        for tree, tree_paths in enumerate(paths):
+            for path in tree_paths:
                 self._leaves[(tree, path)].append(record_id)
         return record_id
 

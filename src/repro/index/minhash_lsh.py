@@ -72,9 +72,10 @@ class MinHashLSHIndex:
         record_tuple = tuple(sorted(set(int(token) for token in record)))
         if not record_tuple:
             raise ValueError("cannot index an empty record")
+        keys = self._band_keys(record_tuple)  # may raise: before any state changes
         record_id = len(self._records)
         self._records.append(record_tuple)
-        for band, key in enumerate(self._band_keys(record_tuple)):
+        for band, key in enumerate(keys):
             self._buckets[band][key].append(record_id)
         return record_id
 

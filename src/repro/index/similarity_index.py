@@ -185,10 +185,7 @@ def _query_pool_chunk(chunk, excludes):
 
 def _signature_block_worker(minhasher: MinHasher, records: List[Record]) -> np.ndarray:
     """Compute the MinHash signatures of a record shard (build-time worker)."""
-    block = np.empty((len(records), minhasher.num_functions), dtype=np.uint64)
-    for position, record in enumerate(records):
-        block[position] = minhasher.signature(record)
-    return block
+    return minhasher.signatures(records).matrix
 
 
 class _PostingLists:
@@ -246,11 +243,9 @@ class _IncrementalSketcher:
         )
 
     def sketch_rows(self, signatures: np.ndarray) -> np.ndarray:
-        """Pack the sketch words of a ``(n, t)`` signature block in one shot.
+        """Pack the sketch words of a ``(n, t)`` signature block in one call.
 
-        The bit selection, multiply-shift and packing all broadcast over the
-        block, so batching queries amortizes the packing loop — and the bits
-        are identical to sketching each row individually.
+        The bits are identical to sketching each row individually.
         """
         return pack_sketch_rows(signatures, self._coordinates, self._multipliers, self.num_words)
 
@@ -467,10 +462,11 @@ class SimilarityIndex:
     def insert_all(self, records: Sequence[Sequence[int]]) -> List[int]:
         """Insert many records; returns their ids.
 
-        When the sketch filter is enabled the whole block's sketches are
-        derived with one vectorized :func:`pack_sketch_rows` call (identical
-        bits to per-record sketching, the packing loop amortized across the
-        block).
+        When the sketch filter is enabled the whole block's signatures come
+        from one MinHash kernel call per worker shard and its sketches from
+        one :func:`pack_sketch_rows` call (identical bits to per-record
+        sketching).  A token outside ``[0, 2**32)`` then fails the whole call
+        with :class:`ValueError` before any record is inserted.
         """
         if not self.use_sketches:
             return [self.insert(record) for record in records]
@@ -538,25 +534,18 @@ class SimilarityIndex:
         return np.concatenate(blocks, axis=0)
 
     def _insert_normalized(self, normalized: Record, sketch_row: Optional[np.ndarray]) -> int:
-        """Append one normalized record to every storage structure (untimed)."""
-        record_id = len(self._records)
-        self._records.append(normalized)
+        """Append one normalized record to every storage structure (untimed).
 
-        self._sizes = self._append_scalar(self._sizes, record_id, len(normalized))
-        if self._measure_sizes is not None:
-            self._measure_sizes = self._append_scalar(
-                self._measure_sizes, record_id, self.measure.record_size(normalized)
-            )
-        self._append_tokens(record_id, normalized)
-
-        if self.use_sketches:
+        Hashing is the only step that can fail (a token outside
+        ``[0, 2**32)`` raises :class:`ValueError`), so it runs before any
+        structure is touched and a failure leaves the index exactly as it
+        was: first the sketch row, then the candidate structure, whose
+        approximate variants hash the record as well and insert atomically.
+        """
+        if self.use_sketches and sketch_row is None:
             assert self._minhasher is not None and self._sketcher is not None
-            if sketch_row is None:
-                sketch_row = self._sketcher.sketch_row(self._minhasher.signature(normalized))
-            self._sketch_words_array = self._append_row(
-                self._sketch_words_array, record_id, sketch_row
-            )
-
+            sketch_row = self._sketcher.sketch_row(self._minhasher.signature(normalized))
+        record_id = len(self._records)
         if self.candidates == "exact":
             postings = self._postings
             for token in normalized:
@@ -565,6 +554,18 @@ class SimilarityIndex:
             self._chosen_path.insert(normalized)
         else:
             self._lsh.insert(normalized)
+
+        self._records.append(normalized)
+        self._sizes = self._append_scalar(self._sizes, record_id, len(normalized))
+        if self._measure_sizes is not None:
+            self._measure_sizes = self._append_scalar(
+                self._measure_sizes, record_id, self.measure.record_size(normalized)
+            )
+        self._append_tokens(record_id, normalized)
+        if self.use_sketches:
+            self._sketch_words_array = self._append_row(
+                self._sketch_words_array, record_id, sketch_row
+            )
         return record_id
 
     @staticmethod

@@ -42,8 +42,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import Record
-from repro.hashing.minhash import MinHasher
+from repro.hashing.minhash import MinHasher, pack_records
 from repro.hashing.sketch import build_sketches
+from repro.obs.tracing import span
 from repro.result import Timer
 
 __all__ = [
@@ -69,9 +70,7 @@ def normalize_records(records: Sequence[Sequence[int]]) -> List[Record]:
     :func:`repro.core.preprocess.preprocess_collection` share it), so all
     joins raise the same error for the same bad input.
     """
-    normalized: List[Record] = [
-        tuple(sorted(set(int(token) for token in record))) for record in records
-    ]
+    normalized: List[Record] = [tuple(sorted(set(map(int, record)))) for record in records]
     for index, record in enumerate(normalized):
         if not record:
             raise ValueError(f"record {index} is empty; empty records cannot be joined")
@@ -265,19 +264,24 @@ class RecordStore:
         seed: Optional[int] = None,
         sides: Optional[np.ndarray] = None,
     ) -> "RecordStore":
-        """Build a store from already normalized (sorted, distinct) records."""
-        offsets = np.zeros(len(normalized) + 1, dtype=np.int64)
-        np.cumsum([len(record) for record in normalized], out=offsets[1:])
-        values = np.fromiter(
-            (token for record in normalized for token in record),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
-        with Timer() as timer:
-            minhasher = MinHasher(num_functions=embedding_size, seed=seed)
-            signatures = minhasher.signatures(normalized)
-            sketch_seed = None if seed is None else seed + 0x5EED
-            sketches = build_sketches(signatures.matrix, num_words=sketch_words, seed=sketch_seed)
+        """Build a store from already normalized (sorted, distinct) records.
+
+        Runs under a ``preprocess`` span (``records`` and ``tokens``
+        attributes) with ``minhash`` and ``sketch`` child spans.  Raises
+        :class:`ValueError` for a token outside ``[0, 2**32)``.
+        """
+        with span("preprocess") as preprocess:
+            values, offsets = pack_records(normalized)
+            preprocess.annotate(records=len(normalized), tokens=int(offsets[-1]))
+            with Timer() as timer:
+                minhasher = MinHasher(num_functions=embedding_size, seed=seed)
+                with span("minhash"):
+                    signatures = minhasher.signatures(normalized, packed=(values, offsets))
+                sketch_seed = None if seed is None else seed + 0x5EED
+                with span("sketch"):
+                    sketches = build_sketches(
+                        signatures.matrix, num_words=sketch_words, seed=sketch_seed
+                    )
         return cls(
             token_values=values,
             token_offsets=offsets,

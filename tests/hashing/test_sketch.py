@@ -7,10 +7,13 @@ import pytest
 
 from repro.hashing.minhash import MinHasher
 from repro.hashing.sketch import (
+    PACK_BLOCK_ROWS,
     OneBitMinHashSketches,
     build_sketches,
+    pack_sketch_rows,
     popcount,
     popcount_rows,
+    sample_sketch_hashers,
     sketch_similarity_threshold,
 )
 from repro.similarity.measures import jaccard_similarity
@@ -114,3 +117,41 @@ class TestBuildSketches:
         matrix = self._signatures([[1, 2]])
         sketches = build_sketches(matrix, num_words=1, seed=2)
         assert sketches.average_estimate(0, [0]) == 0.0
+
+
+def shift_or_reference(signature_matrix, coordinates, multipliers, num_words):
+    """The unblocked bit derivation, OR-ing each of the 64 bit planes into place."""
+    selected = signature_matrix[:, coordinates]
+    with np.errstate(over="ignore"):
+        bits = (selected * multipliers) >> np.uint64(63)
+    bits = bits.reshape(signature_matrix.shape[0], num_words, 64)
+    packed = np.zeros((signature_matrix.shape[0], num_words), dtype=np.uint64)
+    for position in range(64):
+        packed |= bits[:, :, position] << np.uint64(position)
+    return packed
+
+
+class TestPackSketchRows:
+    @pytest.mark.parametrize("num_words", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "num_records", [0, 1, PACK_BLOCK_ROWS - 1, PACK_BLOCK_ROWS + 1, 2 * PACK_BLOCK_ROWS + 37]
+    )
+    @pytest.mark.parametrize("num_functions", [7, 128])
+    def test_equals_shift_or_formula(self, num_words, num_records, num_functions) -> None:
+        rng = np.random.default_rng(num_records * 31 + num_words)
+        matrix = rng.integers(0, 2**64, size=(num_records, num_functions), dtype=np.uint64)
+        coordinates, multipliers = sample_sketch_hashers(num_functions, num_words, seed=4)
+        packed = pack_sketch_rows(matrix, coordinates, multipliers, num_words)
+        assert packed.dtype == np.uint64 and packed.shape == (num_records, num_words)
+        expected = shift_or_reference(matrix, coordinates, multipliers, num_words)
+        assert np.array_equal(packed, expected)
+
+    def test_bit_j_of_word_w_is_sketch_bit_64w_plus_j(self) -> None:
+        # Multiplier 1 keeps each value, so bit b is the top bit of the
+        # coordinate feeding it: set exactly sketch bits 0, 70 and 127.
+        coordinates = np.arange(128)
+        multipliers = np.ones(128, dtype=np.uint64)
+        row = np.zeros((1, 128), dtype=np.uint64)
+        row[0, [0, 70, 127]] = np.uint64(1 << 63)
+        packed = pack_sketch_rows(row, coordinates, multipliers, 2)
+        assert packed.tolist() == [[1, (1 << 6) | (1 << 63)]]

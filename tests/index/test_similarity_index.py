@@ -80,6 +80,38 @@ class TestBasicSemantics:
         assert index.insert((4, 5, 6)) == 1  # ids still contiguous
         assert index.query((1, 2, 3))[0] == (0, 1.0)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"use_sketches": True},
+            {"candidates": "chosenpath"},
+            {"candidates": "lsh"},
+            {"candidates": "lsh", "use_sketches": False},
+        ],
+    )
+    def test_unhashable_token_rejected_before_any_mutation(self, tiny_records, options) -> None:
+        # These tokens fit int64 storage but are no 32-bit tabulation keys:
+        # the insert fails while hashing, before any structure is touched.
+        index = SimilarityIndex.build(tiny_records, 0.5, backend="numpy", seed=5, **options)
+        before = index.query_batch(tiny_records)
+        for bad in ((1, 2**40), (-1, 2), (2**32,)):
+            with pytest.raises(ValueError, match="32-bit tabulation key"):
+                index.insert(bad)
+        if index.use_sketches:
+            with pytest.raises(ValueError, match="32-bit tabulation key"):
+                index.insert_all([(7, 8, 9), (1, 2**40)])
+        assert len(index) == len(tiny_records)
+        assert index.query_batch(tiny_records) == before
+        assert index.insert((1, 2, 3, 4)) == len(tiny_records)  # ids still contiguous
+        assert index.query((1, 2, 3, 4), exclude=0)[0] == (len(tiny_records), 1.0)
+
+    def test_chosen_path_without_sketches_masks_negative_tokens(self) -> None:
+        # No MinHash runs here; the tree hashes keep the low 32 bits of every
+        # token, negative ones included, as the scalar hash does.
+        index = SimilarityIndex(0.5, candidates="chosenpath", use_sketches=False, seed=5)
+        assert index.insert((-3, 1, 2)) == 0
+        assert index.query((-3, 1, 2))[0] == (0, 1.0)
+
     def test_insert_returns_sequential_ids(self) -> None:
         index = SimilarityIndex(0.5)
         assert index.insert([1, 2, 3]) == 0

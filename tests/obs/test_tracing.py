@@ -151,3 +151,27 @@ class TestTraceWriter:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [record["name"] for record in lines] == ["write", "request"]
         assert all(record["trace"] == "req-3" for record in lines)
+
+
+class TestPreprocessSpans:
+    """Preprocessing shows up at runtime under the benchmark's layer names."""
+
+    def test_preprocess_span_has_minhash_and_sketch_children(self) -> None:
+        from repro.core.preprocess import preprocess_collection
+
+        sink = _ListSink()
+        enable_tracing(sink)
+        try:
+            with span("join") as join:
+                preprocess_collection([[1, 2, 3], [3, 2, 4, 5], [9]], seed=1)
+        finally:
+            disable_tracing()
+        by_name = {record["name"]: record for record in sink.records}
+        preprocess = by_name["preprocess"]
+        assert preprocess["parent"] == join.span_id
+        assert preprocess["extra"] == {"records": 3, "tokens": 8}
+        for child in ("minhash", "sketch"):
+            assert by_name[child]["parent"] == preprocess["span"]
+            assert by_name[child]["trace"] == preprocess["trace"]
+            assert by_name[child]["duration_seconds"] <= preprocess["duration_seconds"]
+        assert set(join.child_seconds) == {"preprocess"}

@@ -170,6 +170,40 @@ class TestErrorHandling:
             record_id = client.insert([100, 101])  # inserts still work and line up
             assert record_id == len(BASE_RECORDS)
 
+    def test_unhashable_token_insert_is_an_error_and_ids_stay_contiguous(self, tmp_path) -> None:
+        # A sketching index hashes every record; a token that fits int64 but
+        # is no 32-bit hash key fails the insert as an ordinary error before
+        # the index or the WAL is touched, so a restart rebuilds the same ids.
+        def factory():
+            return make_index(candidates="chosenpath")
+
+        options = dict(data_dir=tmp_path / "state", wal_sync=False, max_linger_ms=0.0)
+        handle = serve_in_thread(SimilarityServer(index_factory=factory, **options))
+        try:
+            with ServiceClient.connect(*handle.address) as client:
+                with pytest.raises(ServiceError, match="32-bit tabulation key") as failure:
+                    client.insert([1, 2**40])
+                assert "internal error" not in str(failure.value)
+                assert client.insert([100, 101]) == len(BASE_RECORDS)
+                snapshot = client.metrics()["values"]
+        finally:
+            handle.stop()
+        outcomes = {
+            series["labels"]["outcome"]: series["value"]
+            for series in snapshot["repro_service_responses_total"]["series"]
+            if series["labels"]["op"] == "insert"
+        }
+        assert outcomes == {"error": 1, "ok": 1}
+
+        handle = serve_in_thread(SimilarityServer(index_factory=factory, **options))
+        try:
+            with ServiceClient.connect(*handle.address) as client:
+                assert client.health()["records"] == len(BASE_RECORDS) + 1
+                assert client.query([100, 101])[0] == (len(BASE_RECORDS), 1.0)
+                assert client.insert([200, 201]) == len(BASE_RECORDS) + 1
+        finally:
+            handle.stop()
+
     def test_malformed_line_answered_with_error(self, running_server) -> None:
         with ServiceClient.connect(*running_server.address) as client:
             client._socket.sendall(b"{not json}\n")
