@@ -28,7 +28,6 @@ from repro.experiments import (
     ablation_sketches,
     ablation_stopping,
     backend_bench,
-    candidate_bench,
     figure2,
     figure3,
     index_bench,
@@ -155,13 +154,6 @@ def main() -> None:
         None,
         parallel_bench.run(
             scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_parallel.json")
-        ),
-    )
-    section(
-        "Candidate benchmark — array frontier walk vs scalar recursion",
-        None,
-        candidate_bench.run(
-            scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_candidate.json")
         ),
     )
     section(

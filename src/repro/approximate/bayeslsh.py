@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special
 
+from repro.backend import BACKEND_NAMES
 from repro.core.preprocess import PreprocessedCollection, preprocess_collection
 from repro.engine import CandidateStage, JoinEngine, PairCandidates, SketchFilterStage, Task
 from repro.hashing.sketch import popcount_words
@@ -49,7 +50,9 @@ Pair = Tuple[int, int]
 _WORD_BITS = 64
 
 
-def _posterior_above_threshold(agreements: int, comparisons: int, threshold: float) -> float:
+def _posterior_above_threshold(
+    agreements: Union[int, np.ndarray], comparisons: int, threshold: float
+) -> Union[float, np.ndarray]:
     """Posterior probability that the Jaccard similarity exceeds ``threshold``.
 
     With a uniform prior on the bit-agreement probability ``p`` and ``m``
@@ -57,11 +60,11 @@ def _posterior_above_threshold(agreements: int, comparisons: int, threshold: flo
     ``p`` is ``Beta(m + 1, b - m + 1)``.  A Jaccard similarity of ``λ``
     corresponds to agreement probability ``(1 + λ) / 2``, so the returned
     value is ``Pr[p ≥ (1 + λ)/2]`` — the regularized incomplete beta survival
-    function.
+    function.  Vectorized over ``agreements``.
     """
     agreement_threshold = (1.0 + threshold) / 2.0
     # betainc(a, b, x) = regularized incomplete beta = Pr[Beta(a, b) <= x].
-    return float(1.0 - special.betainc(agreements + 1, comparisons - agreements + 1, agreement_threshold))
+    return 1.0 - special.betainc(agreements + 1, comparisons - agreements + 1, agreement_threshold)
 
 
 class BayesLSHCandidateStage(CandidateStage):
@@ -163,10 +166,10 @@ class BayesianFilterStage(SketchFilterStage):
     Replaces the fixed ``λ̂`` cut-off with the posterior check of BayesLSH:
     a pair survives iff at every sketch word its cumulative agreement count
     keeps the posterior ``Pr[J ≥ λ]`` at or above ``pruning_probability``.
-    The scalar path (python backend) checks candidates one at a time with
-    early termination; the block path (numpy backend) compares cumulative
-    agreement counts against the precomputed per-word minima — the two
-    accept exactly the same pairs.
+    The posterior is monotone in the agreement count, so the check runs over
+    a whole block as a comparison of cumulative per-word agreements against
+    precomputed per-word minima — the same survivors as checking each pair
+    word by word with early termination.
     """
 
     def __init__(self, join: "BayesLSHJoin", backend) -> None:
@@ -178,20 +181,12 @@ class BayesianFilterStage(SketchFilterStage):
         if firsts.size == 0:
             return firsts, seconds
         sketches = self.backend.collection.sketches
-        if self.backend.name == "numpy":
-            xored = sketches.words[firsts] ^ sketches.words[seconds]
-            differing = popcount_words(xored)  # (P, ℓ) per-word Hamming distances
-            agreements = np.cumsum(_WORD_BITS - differing, axis=1)
-            if self._minimum is None:
-                self._minimum = self.join._minimum_agreements(sketches.num_words)
-            surviving = np.all(agreements >= self._minimum[np.newaxis, :], axis=1)
-        else:
-            surviving = np.zeros(firsts.size, dtype=bool)
-            words = sketches.words
-            for position in range(firsts.size):
-                surviving[position] = self.join._incremental_sketch_check(
-                    words[firsts[position]], words[seconds[position]]
-                )
+        xored = sketches.words[firsts] ^ sketches.words[seconds]
+        differing = popcount_words(xored)  # (P, ℓ) per-word Hamming distances
+        agreements = np.cumsum(_WORD_BITS - differing, axis=1)
+        if self._minimum is None:
+            self._minimum = self.join._minimum_agreements(sketches.num_words)
+        surviving = np.all(agreements >= self._minimum[np.newaxis, :], axis=1)
         return firsts[surviving], seconds[surviving]
 
 
@@ -215,11 +210,8 @@ class BayesLSHJoin:
     seed:
         Seed for the candidate-generation randomness and preprocessing.
     backend:
-        Execution backend for the sketch pruning and exact verification:
-        ``"python"`` checks candidates one at a time (incremental pruning),
-        ``"numpy"`` prunes whole candidate blocks against precomputed
-        per-word agreement thresholds — the two accept exactly the same
-        pairs.
+        Execution backend of the exact verification kernel (``"numpy"``, the
+        default, or the ``"python"`` oracle); identical results either way.
     workers / executor:
         Accepted for API symmetry with the other randomized joins, but
         BayesLSH has **no parallel repetition path**: its candidate rounds
@@ -238,7 +230,7 @@ class BayesLSHJoin:
         recall_probability: float = 0.95,
         candidates: str = "lsh",
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
+        backend: Optional[str] = "numpy",
         workers: int = 1,
         executor: Optional[str] = None,
         measure=None,
@@ -262,8 +254,8 @@ class BayesLSHJoin:
             raise ValueError("pruning_probability must be in (0, 1)")
         if candidates not in ("lsh", "allpairs"):
             raise ValueError("candidates must be 'lsh' or 'allpairs'")
-        if backend is not None and str(backend).lower() not in ("python", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}; expected 'python' or 'numpy'")
+        if backend is not None and str(backend).lower() not in BACKEND_NAMES:
+            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         if workers is not None and workers > 1:
@@ -337,30 +329,17 @@ class BayesLSHJoin:
         ``64 (w + 1)`` compared bits still reaches ``pruning_probability``;
         an unreachable bound (``comparisons + 1``) marks words where no count
         survives.  The posterior is monotone in the agreement count, so the
-        comparison against these minima reproduces the scalar check exactly.
+        comparison against these minima reproduces a word-by-word check with
+        early termination exactly.
         """
         minimum = np.empty(num_words, dtype=np.int64)
         for word in range(num_words):
             comparisons = _WORD_BITS * (word + 1)
             counts = np.arange(comparisons + 1)
-            agreement_threshold = (1.0 + self.threshold) / 2.0
-            posterior = 1.0 - special.betainc(counts + 1, comparisons - counts + 1, agreement_threshold)
+            posterior = _posterior_above_threshold(counts, comparisons, self.threshold)
             passing = np.flatnonzero(posterior >= self.pruning_probability)
             minimum[word] = int(passing[0]) if passing.size else comparisons + 1
         return minimum
-
-    def _incremental_sketch_check(self, first_words: np.ndarray, second_words: np.ndarray) -> bool:
-        """Compare sketches word by word, pruning when the posterior drops too low."""
-        agreements = 0
-        comparisons = 0
-        for word_first, word_second in zip(first_words, second_words):
-            differing = bin(int(word_first) ^ int(word_second)).count("1")
-            comparisons += _WORD_BITS
-            agreements += _WORD_BITS - differing
-            posterior = _posterior_above_threshold(agreements, comparisons, self.threshold)
-            if posterior < self.pruning_probability:
-                return False
-        return True
 
 
 def bayeslsh_join(

@@ -29,8 +29,7 @@ sequential run for every ``workers`` / ``executor`` combination.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from repro.similarity.measures import get_measure
 from repro.store import StoreHandle
 
 __all__ = ["MinHashLSHJoin", "MinHashBucketStage", "minhash_lsh_join"]
-
-Pair = Tuple[int, int]
 
 _SEED_STREAM = 104729
 """Odd multiplier deriving per-repetition seeds (kept from the seed impl)."""
@@ -85,11 +82,7 @@ class MinHashBucketStage(CandidateStage):
     def tasks(self) -> Iterator[Task]:
         for coordinates in self.coordinate_rounds:
             for bucket in self.join._bucketize(self.collection, coordinates):
-                # Vectorized bucketing yields index arrays, the dict loop
-                # yields lists; the filter stages accept either payload.
-                yield SubsetCandidates(
-                    bucket if isinstance(bucket, np.ndarray) else tuple(bucket)
-                )
+                yield SubsetCandidates(bucket)
             if self.count_repetitions:
                 self.stats.repetitions += 1
 
@@ -114,8 +107,8 @@ class MinHashLSHJoin:
     seed:
         Seed for coordinate sampling (and preprocessing when needed).
     backend:
-        Execution backend for the bucket brute-forcing (``"python"`` /
-        ``"numpy"``); identical results either way.
+        Execution backend of the filter/verify kernels (``"numpy"``, the
+        default, or the ``"python"`` oracle); identical results either way.
     workers:
         Parallel workers executing the bucketing rounds (1 = sequential).
         The merged pair set is seed-deterministic for any worker count.
@@ -143,7 +136,7 @@ class MinHashLSHJoin:
         use_sketches: bool = True,
         sketch_false_negative_rate: float = 0.05,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
+        backend: Optional[str] = "numpy",
         workers: int = 1,
         executor: Optional[str] = None,
         measure=None,
@@ -220,13 +213,7 @@ class MinHashLSHJoin:
             for _ in range(repetitions)
         ]
         if self.workers == 1 or self.executor == "serial" or repetitions <= 1:
-            engine = self._make_engine(collection)
-            stage = MinHashBucketStage(self, collection, coordinate_rounds, stats)
-            with Timer() as timer:
-                pairs = engine.execute(stage, stats)
-            stats.results = len(pairs)
-            stats.elapsed_seconds = timer.elapsed
-            return JoinResult(pairs=pairs, stats=stats)
+            return self._execute_rounds(collection, coordinate_rounds, stats)
         return self._join_parallel(collection, coordinate_rounds, stats)
 
     def _join_parallel(
@@ -277,17 +264,26 @@ class MinHashLSHJoin:
         return JoinResult(pairs=pairs, stats=stats)
 
     def _execute_rounds(
-        self, collection: PreprocessedCollection, coordinate_rounds: List[np.ndarray]
+        self,
+        collection: PreprocessedCollection,
+        coordinate_rounds: List[np.ndarray],
+        stats: Optional[JoinStats] = None,
+        count_repetitions: bool = True,
     ) -> JoinResult:
-        """Run a shard of bucketing rounds through its own staged engine."""
-        stats = JoinStats(
-            algorithm=self.algorithm_name,
-            threshold=self.threshold,
-            num_records=collection.num_records,
-            repetitions=0,
-        )
+        """Run bucketing rounds through one staged engine.
+
+        A parallel shard gets fresh ``stats``; the serial join and
+        :meth:`run_once` pass their own.
+        """
+        if stats is None:
+            stats = JoinStats(
+                algorithm=self.algorithm_name,
+                threshold=self.threshold,
+                num_records=collection.num_records,
+                repetitions=0,
+            )
         engine = self._make_engine(collection)
-        stage = MinHashBucketStage(self, collection, coordinate_rounds, stats)
+        stage = MinHashBucketStage(self, collection, coordinate_rounds, stats, count_repetitions)
         with Timer() as timer:
             pairs = engine.execute(stage, stats)
         stats.results = len(pairs)
@@ -306,13 +302,7 @@ class MinHashLSHJoin:
         k = self.num_hash_functions or self.select_k(collection, rng)
         stats.extra["k"] = float(k)
         coordinates = self._draw_coordinates(collection.embedding_size, k, rng)
-        engine = self._make_engine(collection)
-        stage = MinHashBucketStage(self, collection, [coordinates], stats, count_repetitions=False)
-        with Timer() as timer:
-            pairs = engine.execute(stage, stats)
-        stats.results = len(pairs)
-        stats.elapsed_seconds = timer.elapsed
-        return JoinResult(pairs=pairs, stats=stats)
+        return self._execute_rounds(collection, [coordinates], stats, count_repetitions=False)
 
     def _make_engine(self, collection: PreprocessedCollection) -> JoinEngine:
         """The staged execution engine running this join's filter/verify stages."""
@@ -359,30 +349,17 @@ class MinHashLSHJoin:
         """Sample one round's ``k`` distinct signature coordinates."""
         return rng.choice(num_functions, size=min(k, num_functions), replace=False)
 
-    def _bucketize(
-        self, collection: PreprocessedCollection, coordinates: np.ndarray
-    ) -> Sequence[Sequence[int]]:
+    @staticmethod
+    def _bucketize(collection: PreprocessedCollection, coordinates: np.ndarray) -> List[np.ndarray]:
         """Split the collection into buckets keyed by the concatenated MinHash values.
 
-        On the numpy backend the grouping runs column-wise through
-        :func:`repro.backend.kernels.group_rows_first_occurrence` — one
-        stable multi-column lexsort instead of hashing one row tuple per
-        record — and returns index arrays.  The dict loop below is the
-        reference semantics; both produce the identical bucket sequence
-        (first-occurrence bucket order, members in record order, buckets of
-        fewer than two records dropped).
+        One stable multi-column lexsort
+        (:func:`repro.backend.kernels.group_rows_first_occurrence`):
+        buckets in first-occurrence order, members in record order, buckets
+        of fewer than two records dropped.
         """
         keys = collection.signatures.matrix[:, coordinates]
-        if self._vectorized_bucketize():
-            return group_rows_first_occurrence(keys, min_size=2)
-        groups: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
-        for record_id in range(collection.num_records):
-            groups[tuple(int(value) for value in keys[record_id])].append(record_id)
-        return [bucket for bucket in groups.values() if len(bucket) >= 2]
-
-    def _vectorized_bucketize(self) -> bool:
-        """Whether bucketing may use the column-wise grouping kernel."""
-        return self.backend is not None and str(self.backend).lower() == "numpy"
+        return group_rows_first_occurrence(keys, min_size=2)
 
 
 def minhash_lsh_join(

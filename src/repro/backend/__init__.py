@@ -1,16 +1,18 @@
-"""Pluggable execution backends for the verification hot paths.
+"""Pluggable execution backends: the filter, verify and estimator kernels.
 
-``make_backend`` is the registry entry point used by
-:class:`repro.core.bruteforce.BruteForcer` and the LSH baselines::
+``make_backend`` is the registry entry point used by the join engine and
+the candidate stages::
 
     backend = make_backend("numpy", collection, threshold)
 
-Two backends ship with the reproduction:
+The backend chooses *how* the kernels run, never which candidates a join
+generates — every join has one candidate walk, whatever the backend.  Two
+backends ship with the reproduction:
 
+* ``"numpy"`` — :class:`~repro.backend.numpy_backend.NumpyBackend`, block
+  kernels over CSR-packed token arrays (the default).
 * ``"python"`` — :class:`~repro.backend.python_backend.PythonBackend`, the
-  seed's per-pair verification semantics (reference implementation).
-* ``"numpy"`` — :class:`~repro.backend.numpy_backend.NumpyBackend`,
-  vectorized block verification over CSR-packed token arrays.
+  per-pair scalar oracle the numpy kernels are tested against.
 
 Both produce identical verified pair sets and statistics; they differ only
 in throughput.  See ``tests/backend`` for the equivalence suite.
@@ -43,8 +45,8 @@ _REGISTRY: Dict[str, Type[ExecutionBackend]] = {
 BACKEND_NAMES = tuple(sorted(_REGISTRY))
 """Names accepted by ``backend=`` arguments throughout the library."""
 
-DEFAULT_BACKEND = PythonBackend.name
-"""Backend used when none is requested (the reference semantics)."""
+DEFAULT_BACKEND = NumpyBackend.name
+"""Backend used when none is requested."""
 
 
 def make_backend(

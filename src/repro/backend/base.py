@@ -1,43 +1,42 @@
-"""Execution-backend interface for the verification hot paths.
+"""Execution-backend interface: the filter, verify and estimator kernels.
 
 Every join in the repository funnels its candidate pairs through the same
 three-stage check (size-compatibility probe, 1-bit minwise sketch filter,
-exact verification on the token sets) and estimates average similarities for
-the adaptive BRUTEFORCE rule.  An :class:`ExecutionBackend` bundles those
-kernels behind one interface so the policy layers (:class:`~repro.core.bruteforce.BruteForcer`,
-the LSH baselines) stay agnostic of *how* the arithmetic is executed:
+exact verification on the token sets), and CPSJOIN's adaptive BRUTEFORCE
+rule estimates average similarities.  An :class:`ExecutionBackend` bundles
+those kernels behind one interface, bound to one preprocessed collection;
+the join engine (:class:`repro.engine.JoinEngine`) and the candidate stages
+call them, and decide nothing about *how* the arithmetic runs:
 
-* :class:`~repro.backend.python_backend.PythonBackend` verifies candidates
-  one pair at a time with the early-terminating merge of
-  :func:`repro.similarity.verify.verify_pair_sorted` — the seed semantics.
-* :class:`~repro.backend.numpy_backend.NumpyBackend` reads the CSR-packed
-  token arrays straight out of the collection's
-  :class:`repro.store.RecordStore` and verifies whole candidate blocks with
-  vectorized ``searchsorted`` intersections — zero-copy even when the store
-  lives in a shared-memory segment attached by a worker process.
+* :meth:`ExecutionBackend.filter_pairs` — the one filter kernel, over
+  aligned pair blocks (the engine expands each flush of tasks into blocks);
+* :meth:`ExecutionBackend.verify_pairs` — exact verification of a block;
+* :meth:`ExecutionBackend.average_similarities` — the estimate driving the
+  adaptive stopping rule.
 
-Both backends are *exactly* equivalent: a pair is accepted if and only if its
-true Jaccard similarity meets the threshold, so the verified pair sets (and
-the pre-candidate / candidate / verified counters) are identical at seed
-parity.  The property-test suite in ``tests/backend`` enforces this.
+:class:`~repro.backend.numpy_backend.NumpyBackend` runs vectorized block
+kernels over the CSR-packed token arrays of the collection's
+:class:`repro.store.RecordStore` (zero-copy even in a shared-memory segment
+attached by a worker process);
+:class:`~repro.backend.python_backend.PythonBackend` is the per-pair scalar
+oracle.  The two are *exactly* equivalent: a pair is accepted if and only if
+its true similarity meets the threshold, so the verified pair sets (and the
+pre-candidate / candidate / verified counters) are identical at seed parity.
+The property-test suite in ``tests/backend`` enforces this.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, List, Sequence, Set, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.kernels import PAIR_BLOCK_BUDGET, filter_task_pairs
 from repro.core.preprocess import PreprocessedCollection
 from repro.hashing.sketch import popcount_rows
-from repro.result import canonical_pair
 from repro.similarity.measures import Measure, get_measure
 
 __all__ = ["ExecutionBackend"]
-
-Pair = Tuple[int, int]
 
 
 class ExecutionBackend(ABC):
@@ -110,35 +109,6 @@ class ExecutionBackend(ABC):
         ``1 - 2d/num_bits`` is at least ``sketch_cutoff``.
         """
 
-    def _filter_tasks(self, subsets, points, use_sketches: bool, sketch_cutoff: float):
-        return filter_task_pairs(
-            subsets,
-            points,
-            self.sides,
-            PAIR_BLOCK_BUDGET,
-            lambda firsts, seconds: self.filter_pairs(firsts, seconds, use_sketches, sketch_cutoff),
-        )
-
-    def filter_point(
-        self, record_id: int, others: Sequence[int], use_sketches: bool, sketch_cutoff: float
-    ) -> Tuple[int, np.ndarray]:
-        """Filter stage of BRUTEFORCEPOINT: returns ``(pre_candidates, survivors)``.
-
-        ``pre_candidates`` counts the pairs left after the side mask (in a
-        side-aware collection same-side pairs are not part of the workload);
-        ``survivors`` are the ids that must be verified exactly.
-        """
-        pre_candidates, _, survivors = self._filter_tasks(
-            (), [(record_id, others)], use_sketches, sketch_cutoff
-        )
-        return pre_candidates, survivors
-
-    def filter_subset(
-        self, subset: Sequence[int], use_sketches: bool, sketch_cutoff: float
-    ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Filter stage of BRUTEFORCEPAIRS: returns ``(pre_candidates, firsts, seconds)``."""
-        return self._filter_tasks([subset], (), use_sketches, sketch_cutoff)
-
     # ------------------------------------------------------------------ exact verification
     @abstractmethod
     def verify_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
@@ -169,52 +139,37 @@ class ExecutionBackend(ABC):
             )
         return accepted
 
-    # ------------------------------------------------------------------ candidate pipelines
-    def one_to_many(
-        self,
-        record_id: int,
-        others: np.ndarray,
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, int, List[int]]:
-        """Full pipeline for one record against many: filter, then verify.
-
-        Returns ``(pre_candidates, verified, accepted_ids)`` where
-        ``pre_candidates`` counts every considered pair and ``verified`` the
-        pairs surviving the filters (and therefore exactly verified).  In a
-        side-aware collection, same-side pairs are not considered at all.
-        """
-        pre_candidates, passing = self.filter_point(record_id, others, use_sketches, sketch_cutoff)
-        if passing.size == 0:
-            return pre_candidates, 0, []
-        accepted = self.verify_one_to_many(record_id, passing)
-        return pre_candidates, int(passing.size), [int(other) for other in passing[accepted]]
-
-    def all_pairs(
+    # ------------------------------------------------------------------ average similarity
+    def average_similarities(
         self,
         subset: Sequence[int],
-        use_sketches: bool,
-        sketch_cutoff: float,
-    ) -> Tuple[int, int, Set[Pair]]:
-        """Full pipeline for every pair within ``subset`` (BRUTEFORCEPAIRS).
+        method: str,
+        rng: np.random.Generator,
+        sample_size: int = 64,
+    ) -> np.ndarray:
+        """Estimated average similarity of each record in ``subset`` to the others.
 
-        Expressed as the staged primitives run back to back:
-        :meth:`filter_subset` followed by :meth:`verify_pairs`.  Returns
-        ``(pre_candidates, verified, accepted_pairs)``.
+        ``method="tokens"`` is the exact rule of Algorithm 2
+        (:meth:`average_similarity_exact`); ``method="sketches"`` is the
+        paper's sampled 1-bit sketch estimator of Section V-A.4
+        (:meth:`average_similarity_sampled`), drawing its sample from
+        ``rng``.  The CPSJOIN walk passes a per-node generator, so the
+        estimate at a tree node is a pure function of the node's identity.
+
+        The estimate is side-blind on purpose: it only steers *when* the walk
+        brute-forces, so an R ⋈ S walk stays identical to the self-join walk
+        of the union at the same seed.
         """
-        pre_candidates, firsts, seconds = self.filter_subset(subset, use_sketches, sketch_cutoff)
-        verified = int(firsts.size)
-        if verified == 0:
-            return pre_candidates, 0, set()
-        mask = self.verify_pairs(firsts, seconds)
-        accepted = {
-            canonical_pair(int(first), int(second))
-            for first, second in zip(firsts[mask], seconds[mask])
-        }
-        return pre_candidates, verified, accepted
+        subset = np.asarray(subset, dtype=np.intp)
+        if subset.size < 2:
+            return np.zeros(subset.size)
+        if method == "tokens":
+            return self.average_similarity_exact(subset)
+        if method == "sketches":
+            return self.average_similarity_sampled(subset, sample_size, rng)
+        raise ValueError(f"unknown average method: {method!r}")
 
-    # ------------------------------------------------------------------ average similarity
-    def average_similarity_exact(self, subset: List[int]) -> np.ndarray:
+    def average_similarity_exact(self, subset: Sequence[int]) -> np.ndarray:
         """Exact average Braun–Blanquet similarity on the embedded sets (Algorithm 2).
 
         With ``count[j]`` the number of records in the subproblem containing
@@ -255,7 +210,7 @@ class ExecutionBackend(ABC):
         return self._sketch_bits
 
     def average_similarity_sampled(
-        self, subset: List[int], sample_size: int, rng: np.random.Generator
+        self, subset: Sequence[int], sample_size: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Sampled sketch estimate of the average similarity (Section V-A.4).
 

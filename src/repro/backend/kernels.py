@@ -29,7 +29,6 @@ from repro.hashing.sketch import popcount_rows
 __all__ = [
     "PAIR_BLOCK_BUDGET",
     "csr_overlaps_one_to_many",
-    "csr_weighted_overlaps_one_to_many",
     "expand_pair_blocks",
     "filter_task_pairs",
     "group_rows_first_occurrence",
@@ -141,12 +140,21 @@ def sketch_estimates(
     return 1.0 - 2.0 * distances / num_bits
 
 
+def _matched(query_tokens: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Mask of ``tokens`` present in the sorted ``query_tokens`` (non-empty)."""
+    positions = np.searchsorted(query_tokens, tokens)
+    matches = positions < query_tokens.size
+    matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
+    return matches
+
+
 def csr_overlaps_one_to_many(
     query_tokens: np.ndarray,
     values: np.ndarray,
     offsets: np.ndarray,
     sizes: np.ndarray,
     others: np.ndarray,
+    value_weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact intersection sizes of one sorted token array against a CSR block.
 
@@ -161,21 +169,26 @@ def csr_overlaps_one_to_many(
         Per-record set sizes (indexable by the ids in ``others``).
     others:
         Record ids to intersect the query against.
+    value_weights:
+        Optional per-element token weights aligned with ``values``.  Without
+        them the overlap *counts* matched tokens (int64); with them it sums
+        the matched tokens' weights (float64), the overlap a weighted
+        :class:`~repro.similarity.measures.Measure` plugs into its
+        required-overlap bound.
     """
     query_tokens = np.asarray(query_tokens, dtype=values.dtype)
     others = np.asarray(others, dtype=np.intp)
-    if others.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if query_tokens.size == 0:
-        return np.zeros(others.size, dtype=np.int64)
+    dtype = np.int64 if value_weights is None else np.float64
+    if others.size == 0 or query_tokens.size == 0:
+        return np.zeros(others.size, dtype=dtype)
     if others.size == 1:
         # Fast path for the very common singleton candidate block.
-        other = int(others[0])
-        tokens = values[offsets[other] : offsets[other] + sizes[other]]
-        positions = np.searchsorted(query_tokens, tokens)
-        matches = positions < query_tokens.size
-        matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
-        return np.array([int(np.count_nonzero(matches))], dtype=np.int64)
+        start = offsets[others[0]]
+        stop = start + sizes[others[0]]
+        matches = _matched(query_tokens, values[start:stop])
+        if value_weights is None:
+            return np.array([np.count_nonzero(matches)], dtype=dtype)
+        return np.array([value_weights[start:stop][matches].sum()], dtype=dtype)
     starts = offsets[others]
     lengths = sizes[others]
     boundaries = np.zeros(others.size + 1, dtype=np.int64)
@@ -184,57 +197,9 @@ def csr_overlaps_one_to_many(
     flat_index = np.arange(boundaries[-1], dtype=np.int64) + np.repeat(
         starts - boundaries[:-1], lengths
     )
-    tokens = values[flat_index]
-
-    positions = np.searchsorted(query_tokens, tokens)
-    matches = positions < query_tokens.size
-    matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
-    return np.add.reduceat(matches.astype(np.int64), boundaries[:-1])
-
-
-def csr_weighted_overlaps_one_to_many(
-    query_tokens: np.ndarray,
-    values: np.ndarray,
-    value_weights: np.ndarray,
-    offsets: np.ndarray,
-    sizes: np.ndarray,
-    others: np.ndarray,
-) -> np.ndarray:
-    """Weighted intersections of one sorted token array against a CSR block.
-
-    The weighted twin of :func:`csr_overlaps_one_to_many`: instead of
-    *counting* matched tokens it sums their weights (``value_weights`` is
-    aligned element-for-element with ``values``), which is the overlap a
-    weighted :class:`~repro.similarity.measures.Measure` plugs into its
-    required-overlap bound.  Returns float64 sums.
-    """
-    query_tokens = np.asarray(query_tokens, dtype=values.dtype)
-    others = np.asarray(others, dtype=np.intp)
-    if others.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if query_tokens.size == 0:
-        return np.zeros(others.size, dtype=np.float64)
-    if others.size == 1:
-        other = int(others[0])
-        start = offsets[other]
-        stop = start + sizes[other]
-        tokens = values[start:stop]
-        positions = np.searchsorted(query_tokens, tokens)
-        matches = positions < query_tokens.size
-        matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
-        return np.array([float(value_weights[start:stop][matches].sum())], dtype=np.float64)
-    starts = offsets[others]
-    lengths = sizes[others]
-    boundaries = np.zeros(others.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=boundaries[1:])
-    flat_index = np.arange(boundaries[-1], dtype=np.int64) + np.repeat(
-        starts - boundaries[:-1], lengths
-    )
-    tokens = values[flat_index]
-
-    positions = np.searchsorted(query_tokens, tokens)
-    matches = positions < query_tokens.size
-    matches &= query_tokens[np.minimum(positions, query_tokens.size - 1)] == tokens
+    matches = _matched(query_tokens, values[flat_index])
+    if value_weights is None:
+        return np.add.reduceat(matches.astype(np.int64), boundaries[:-1])
     return np.add.reduceat(np.where(matches, value_weights[flat_index], 0.0), boundaries[:-1])
 
 

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.backend.base import ExecutionBackend
-from repro.backend.kernels import csr_overlaps_one_to_many, csr_weighted_overlaps_one_to_many
+from repro.backend.kernels import csr_overlaps_one_to_many
 from repro.core.preprocess import PreprocessedCollection
 from repro.hashing.sketch import _HAS_BITWISE_COUNT, popcount_words
 from repro.similarity.measures import Measure
@@ -54,17 +54,13 @@ class NumpyBackend(ExecutionBackend):
 
     def _overlaps_one_to_many(self, record_id: int, others: np.ndarray) -> np.ndarray:
         """Exact (possibly weighted) overlaps of one record against a block."""
-        if self._value_weights is not None:
-            return csr_weighted_overlaps_one_to_many(
-                self._record_tokens(record_id),
-                self._values,
-                self._value_weights,
-                self._offsets,
-                self.sizes,
-                others,
-            )
         return csr_overlaps_one_to_many(
-            self._record_tokens(record_id), self._values, self._offsets, self.sizes, others
+            self._record_tokens(record_id),
+            self._values,
+            self._offsets,
+            self.sizes,
+            others,
+            self._value_weights,
         )
 
     def _required_overlaps(self, record_id: int, others: np.ndarray) -> np.ndarray:

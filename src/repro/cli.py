@@ -35,7 +35,7 @@ any Python:
   (``table1``, ``table2``, ``figure2``, ``figure3``, ``table4``,
   ``tokens``, ``ablation-stopping``, ``ablation-sketches``,
   ``backend-bench``, ``rs-bench``, ``index-bench``, ``parallel-bench``,
-  ``candidate-bench``, ``serve-bench``).
+  ``serve-bench``).
 
 Examples::
 
@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["python", "numpy"],
         default=None,
-        help="execution backend for the verification hot paths (default python)",
+        help="execution backend for the filter and verify kernels (default numpy; "
+        "python is the per-pair oracle, same pairs)",
     )
     join_parser.add_argument(
         "--workers",
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["python", "numpy"],
         default=None,
-        help="verification backend for queries (default python)",
+        help="verification backend for queries (default numpy)",
     )
     index_build.add_argument("--seed", type=int, default=None, help="seed for the index hashing")
     index_build.add_argument(
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--backend", choices=["python", "numpy"], default=None,
-        help="verification backend for queries (default python)",
+        help="verification backend for queries (default numpy)",
     )
     serve_parser.add_argument("--seed", type=int, default=None, help="seed for the index hashing")
     serve_parser.add_argument(
@@ -371,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
             "rs-bench",
             "index-bench",
             "parallel-bench",
-            "candidate-bench",
             "serve-bench",
         ],
     )
@@ -760,7 +760,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         ablation_sketches,
         ablation_stopping,
         backend_bench,
-        candidate_bench,
         figure2,
         figure3,
         index_bench,
@@ -804,8 +803,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         # opt-in via `python -m repro.experiments.parallel_bench --out-json`
         # or scripts/run_experiments.py.
         print(format_table(parallel_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
-    elif name == "candidate-bench":
-        print(format_table(candidate_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
     elif name == "serve-bench":
         print(format_table(serve_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
     return 0

@@ -3,7 +3,7 @@
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import CPSJoin, cpsjoin
 from repro.core.preprocess import PreprocessedCollection, preprocess_collection
-from repro.core.repetition import RepetitionDriver, RepetitionEngine, join_with_target_recall
+from repro.core.repetition import RepetitionEngine, join_with_target_recall
 
 __all__ = [
     "CPSJoinConfig",
@@ -11,7 +11,6 @@ __all__ = [
     "cpsjoin",
     "PreprocessedCollection",
     "preprocess_collection",
-    "RepetitionDriver",
     "RepetitionEngine",
     "join_with_target_recall",
 ]

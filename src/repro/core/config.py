@@ -18,7 +18,6 @@ _VALID_STOPPING = ("adaptive", "global", "individual")
 _VALID_AVERAGE_METHODS = ("sketches", "tokens")
 _VALID_BACKENDS = ("python", "numpy")
 _VALID_EXECUTORS = ("serial", "threads", "processes")
-_VALID_CANDIDATE_WALKS = ("auto", "recursive", "frontier")
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,10 @@ class CPSJoinConfig:
         Seed controlling the embedding, the sketches, and the splitting
         randomness.  Repetition ``r`` uses ``seed + r``.
     backend:
-        Execution backend for the verification hot paths: ``"python"``
-        (per-pair reference semantics) or ``"numpy"`` (vectorized block
-        verification).  Both return identical pair sets at seed parity.
-    candidate_walk:
-        How the Chosen Path tree is traversed by the candidate stage:
-        ``"recursive"`` (the scalar depth-first reference),
-        ``"frontier"`` (the level-synchronous array walk) or ``"auto"``
-        (frontier on the numpy backend, recursive on python).  Node
-        randomness is seeded per node, so both walks emit the identical task
-        stream — and therefore the identical pair set — at any seed.
+        Execution backend for the filter and verify kernels: ``"numpy"``
+        (vectorized block kernels, default) or ``"python"`` (the per-pair
+        oracle).  Both return identical pair sets at seed parity; the
+        candidate walk is the same on either.
     workers:
         Number of parallel workers the repetition engine uses to run the
         independent repetitions (1 = sequential).  Results are deterministic
@@ -111,8 +104,7 @@ class CPSJoinConfig:
     average_method: str = "sketches"
     max_depth: int = 64
     seed: Optional[int] = None
-    backend: str = "python"
-    candidate_walk: str = "auto"
+    backend: str = "numpy"
     workers: int = 1
     executor: str = "threads"
     measure: Union[str, Measure, None] = None
@@ -138,8 +130,6 @@ class CPSJoinConfig:
             raise ValueError("max_depth must be positive")
         if self.backend not in _VALID_BACKENDS:
             raise ValueError(f"backend must be one of {_VALID_BACKENDS}")
-        if self.candidate_walk not in _VALID_CANDIDATE_WALKS:
-            raise ValueError(f"candidate_walk must be one of {_VALID_CANDIDATE_WALKS}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.executor not in _VALID_EXECUTORS:

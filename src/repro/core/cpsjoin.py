@@ -1,8 +1,7 @@
 """The CPSJOIN algorithm (Algorithms 1 and 2 of the paper).
 
-The engine performs one randomized run of the Chosen Path Similarity Join on
-a preprocessed collection.  A run recursively splits the collection along the
-Chosen Path Tree:
+One randomized run of the Chosen Path Similarity Join walks the Chosen Path
+Tree over a preprocessed collection:
 
 * **BRUTEFORCE step** (Algorithm 2): subproblems of at most ``limit`` records
   are solved by all-pairs comparison; in larger subproblems every record whose
@@ -11,27 +10,24 @@ Chosen Path Tree:
   distinguishes CPSJOIN from classic LSH approaches).
 * **Splitting step** (Algorithm 1): the surviving records are split into
   buckets.  Following the implementation heuristic of Section V-A.3, instead
-  of hashing every token the engine samples an expected ``1/λ`` coordinates of
+  of hashing every token the walk samples an expected ``1/λ`` coordinates of
   the MinHash embedding and groups records by their MinHash value on each
-  sampled coordinate; each non-trivial bucket becomes a recursive subproblem.
+  sampled coordinate; each non-trivial bucket becomes a child subproblem.
 
 Execution is staged through the shared :class:`repro.engine.JoinEngine`: the
-recursion here is only the **candidate stage** — it decides *which* subsets
-get brute-forced and yields them as tasks
+tree walk is only the **candidate stage** — it decides *which* subsets get
+brute-forced and yields them as tasks
 (:class:`~repro.engine.stages.SubsetCandidates` /
 :class:`~repro.engine.stages.PointCandidates`); the engine runs the dedup,
 sketch-filter and verify stages in memory-bounded batches.  Verification
-never feeds back into the recursion and consumes no randomness, so the
-staged run is bit-for-bit identical to the historical fused loop.
+never feeds back into the walk and consumes no randomness.
 
-The tree walk itself comes in two interchangeable implementations selected
-by ``config.candidate_walk``: the scalar depth-first recursion in this
-module (the readable reference) and the level-synchronous array frontier of
-:mod:`repro.core.frontier` (the fast path, default on the numpy backend).
-Node randomness is seeded *per node* — one entropy draw per repetition, then
-counter-based node keys along the tree edges and path-seeded estimator
-generators (see the frontier module docstring) — so both walks emit the
-identical task stream at any seed.
+The walk is the level-synchronous array frontier of
+:mod:`repro.core.frontier`, with node randomness seeded *per node* (one
+entropy draw per repetition, then counter-based node keys along the tree
+edges and node-seeded estimator generators).  The execution backend only
+chooses the filter/verify kernels and the average-similarity estimator; the
+walk is the same on every backend.
 
 For the ablation of Section IV-C.5 the stage also implements the ``global``
 and ``individual`` stopping strategies, which replace the adaptive rule with a
@@ -47,22 +43,15 @@ recall.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bruteforce import BruteForcer
+from repro.backend import ExecutionBackend
 from repro.core.config import CPSJoinConfig
-from repro.core.frontier import (
-    child_node_keys,
-    chosen_split_coordinates,
-    estimator_rng,
-    frontier_tasks,
-    resolve_candidate_walk,
-    root_node_key,
-)
+from repro.core.frontier import frontier_tasks
 from repro.core.preprocess import PreprocessedCollection, preprocess_collection
-from repro.engine import CandidateStage, JoinEngine, PointCandidates, SubsetCandidates, Task
+from repro.engine import CandidateStage, JoinEngine, Task
 from repro.result import JoinResult, JoinStats, Timer
 from repro.similarity.measures import get_measure
 
@@ -75,12 +64,10 @@ _SEED_STREAM = 7919
 class ChosenPathCandidateStage(CandidateStage):
     """Candidate stage of CPSJOIN: the Chosen Path Tree walk.
 
-    The repetition generator is consumed exactly once — for the walk's
-    ``root_entropy`` — and every node's randomness (split coordinates,
-    estimator samples) is derived from the node's identity (see
-    :mod:`repro.core.frontier`).  ``config.candidate_walk`` picks the
-    traversal: the scalar depth-first recursion implemented here, or the
-    level-synchronous array frontier; both yield the identical task stream.
+    The repetition generator is consumed at construction for the walk's
+    ``root_entropy`` (and by the ``individual`` strategy's depth estimate);
+    every node's randomness — split coordinates, estimator samples — is
+    derived from the node's identity (see :mod:`repro.core.frontier`).
     """
 
     def __init__(
@@ -95,153 +82,15 @@ class ChosenPathCandidateStage(CandidateStage):
         self.collection = collection
         self.rng = rng
         self.stats = stats
-        self.root_entropy = 0
-        # The estimator drives the adaptive rule; it shares the engine's
-        # backend instance so token packing happens once per collection.
-        self.estimator = BruteForcer(
-            collection,
-            join.embedded_threshold,
-            stats,
-            use_sketches=join.config.use_sketches,
-            sketch_false_negative_rate=join.config.sketch_false_negative_rate,
-            rng=rng,
-            backend=engine.backend,
-        )
-
-    # ------------------------------------------------------------------ entry
-    def tasks(self) -> Iterator[Task]:
-        config = self.join.config
         # The single draw that fixes the whole tree's randomness: node keys
         # and estimator streams are pure functions of (root_entropy, path).
-        self.root_entropy = int(self.rng.integers(0, 1 << 63))
-        walk = resolve_candidate_walk(config.candidate_walk, self.estimator.backend.name)
-        if walk == "frontier":
-            yield from frontier_tasks(self)
-            return
-        all_records = list(range(self.collection.num_records))
-        root_key = root_node_key(self.root_entropy)
-        if config.stopping == "adaptive":
-            yield from self._adaptive(all_records, 0, root_key)
-        elif config.stopping == "global":
-            depth = self.join._global_depth(self.collection.num_records)
-            yield from self._fixed_depth(all_records, 0, depth, root_key)
-        else:  # individual
-            depth_values = self.join._individual_depths(all_records, self.estimator)
-            depths = {record_id: int(depth) for record_id, depth in zip(all_records, depth_values)}
-            yield from self._individual(all_records, 0, depths, root_key)
+        self.root_entropy = int(rng.integers(0, 1 << 63))
+        # The estimator drives the adaptive rule; it is the engine's backend,
+        # so token packing and sketch caches are shared with the filter.
+        self.estimator: ExecutionBackend = engine.backend
 
-    # ------------------------------------------------------------------ node bookkeeping
-    def _enter_node(self, depth: int) -> None:
-        self.stats.add_extra("tree_nodes")
-        self.stats.max_extra("max_depth", float(depth))
-
-    def _children(self, subset: List[int], node_key: int) -> Iterator[tuple]:
-        """Buckets of a node paired with their child node keys, in rank order."""
-        buckets = self.join._split(subset, self.collection, node_key)
-        if not buckets:
-            return
-        keys = child_node_keys(
-            np.full(len(buckets), node_key, dtype=np.uint64), np.arange(len(buckets))
-        )
-        for rank, bucket in enumerate(buckets):
-            yield rank, bucket, int(keys[rank])
-
-    # ------------------------------------------------------------------ adaptive strategy (the paper's)
-    def _adaptive(self, subset: List[int], depth: int, node_key: int) -> Iterator[Task]:
-        """One node of the Chosen Path Tree under the adaptive stopping rule."""
-        self._enter_node(depth)
-        subset = yield from self._brute_force_step(subset, node_key)
-        if len(subset) < 2:
-            return
-        if depth >= self.join.config.max_depth:
-            # Safety net: the analysis bounds the depth by O(log n / ε) w.h.p.;
-            # finish any unexpectedly deep branch exactly.
-            yield SubsetCandidates(tuple(subset))
-            return
-        for _rank, bucket, child_key in self._children(subset, node_key):
-            yield from self._adaptive(bucket, depth + 1, child_key)
-
-    def _brute_force_step(self, subset: List[int], node_key: int) -> Iterator[Task]:
-        """The BRUTEFORCE step (Algorithm 2): returns the records that keep branching.
-
-        Small subproblems are finished exactly (returning an empty list stops
-        the recursion).  In larger subproblems every record whose estimated
-        average similarity to the rest exceeds ``(1 - ε) λ`` is compared to the
-        whole subproblem and removed.  As in the paper's implementation the
-        check is evaluated once per node for all records rather than re-running
-        after each removal.
-        """
-        join = self.join
-        stats = self.stats
-        if len(subset) <= join.config.limit:
-            yield SubsetCandidates(tuple(subset))
-            stats.add_extra("bruteforce_pairs_calls")
-            return []
-
-        averages = self.estimator.average_similarities(
-            subset,
-            method=join.config.average_method,
-            rng=estimator_rng(node_key),
-        )
-        # The estimates live in embedded-Jaccard space, so the adaptive rule
-        # compares against the embedded threshold (identical to λ for the
-        # default measure).
-        cutoff = (1.0 - join.config.epsilon) * join.embedded_threshold
-        to_remove = [record_id for record_id, average in zip(subset, averages) if average > cutoff]
-        if to_remove:
-            stats.add_extra("bruteforce_point_calls", float(len(to_remove)))
-            removed_set = set(to_remove)
-            for record_id in to_remove:
-                others = tuple(other for other in subset if other != record_id)
-                if others:
-                    yield PointCandidates(record_id, others)
-            subset = [record_id for record_id in subset if record_id not in removed_set]
-            # Removing records may push the subproblem below the brute-force
-            # limit; Algorithm 2 re-runs itself on the reduced set.
-            if len(subset) <= join.config.limit:
-                yield SubsetCandidates(tuple(subset))
-                stats.add_extra("bruteforce_pairs_calls")
-                return []
-        return subset
-
-    # ------------------------------------------------------------------ ablation strategies
-    def _fixed_depth(
-        self, subset: List[int], depth: int, stop_depth: int, node_key: int
-    ) -> Iterator[Task]:
-        """Classic LSH-style recursion: split until a fixed depth, then brute force."""
-        self._enter_node(depth)
-        if len(subset) < 2:
-            return
-        if depth >= stop_depth or len(subset) <= self.join.config.limit:
-            yield SubsetCandidates(tuple(subset))
-            return
-        for _rank, bucket, child_key in self._children(subset, node_key):
-            yield from self._fixed_depth(bucket, depth + 1, stop_depth, child_key)
-
-    def _individual(
-        self, subset: List[int], depth: int, depths: Dict[int, int], node_key: int
-    ) -> Iterator[Task]:
-        """Per-record fixed-depth recursion (the ``individual`` strategy)."""
-        self._enter_node(depth)
-        if len(subset) < 2:
-            return
-        if len(subset) <= self.join.config.limit or depth >= self.join.config.max_depth:
-            yield SubsetCandidates(tuple(subset))
-            return
-        # Records whose individual depth has been reached are brute-forced
-        # against the subproblem and removed before splitting.
-        expiring = [record_id for record_id in subset if depths.get(record_id, 0) <= depth]
-        if expiring:
-            for record_id in expiring:
-                others = tuple(other for other in subset if other != record_id)
-                if others:
-                    yield PointCandidates(record_id, others)
-            expiring_set = set(expiring)
-            subset = [record_id for record_id in subset if record_id not in expiring_set]
-            if len(subset) < 2:
-                return
-        for _rank, bucket, child_key in self._children(subset, node_key):
-            yield from self._individual(bucket, depth + 1, depths, child_key)
+    def tasks(self) -> Iterator[Task]:
+        yield from frontier_tasks(self)
 
 
 class CPSJoin:
@@ -344,54 +193,6 @@ class CPSJoin:
         stats.elapsed_seconds = timer.elapsed
         return JoinResult(pairs=pairs, stats=stats)
 
-    # ------------------------------------------------------------------ splitting step
-    def _split(
-        self,
-        subset: List[int],
-        collection: PreprocessedCollection,
-        node_key: int,
-    ) -> List[List[int]]:
-        """Split a subproblem into buckets (Algorithm 1 with the Section V-A.3 heuristic).
-
-        An expected ``1/λ`` coordinates of the embedding are sampled; for each
-        sampled coordinate the subproblem is partitioned by MinHash value.
-        Records sharing a bucket share the embedded token ``(i, h_i(x))``,
-        exactly as if the splitting hash of Algorithm 1 had selected that
-        token.  Buckets with fewer than two records cannot produce pairs and
-        are dropped.
-
-        The coordinate choice is a pure function of ``node_key`` (the node's
-        deterministic identity, see :mod:`repro.core.frontier`), so the
-        recursive and frontier walks split every node identically.
-        """
-        num_functions = collection.embedding_size
-        # Each coordinate is chosen independently with probability 1/(λ t), so
-        # the expected number of chosen coordinates is 1/λ (λ being the
-        # embedded threshold — the MinHash values estimate embedded Jaccard).
-        probability = min(1.0, 1.0 / (self.embedded_threshold * num_functions))
-        chosen = chosen_split_coordinates(node_key, num_functions, probability)
-
-        subset_array = np.asarray(subset, dtype=np.intp)
-        buckets: List[List[int]] = []
-        for coordinate in chosen:
-            values = collection.signatures.matrix[subset_array, coordinate]
-            # Vectorized grouping equivalent to inserting into a dict in
-            # subset order: the stable argsort keeps records in subset order
-            # within each bucket, and buckets are emitted by first occurrence
-            # so the recursion (and its randomness consumption) matches the
-            # reference implementation exactly.
-            unique_values, inverse, counts = np.unique(
-                values, return_inverse=True, return_counts=True
-            )
-            order = np.argsort(inverse, kind="stable")
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            for group_index in np.argsort(order[starts], kind="stable"):
-                if counts[group_index] >= 2:
-                    members = subset_array[order[starts[group_index] : ends[group_index]]]
-                    buckets.append(members.tolist())
-        return buckets
-
     # ------------------------------------------------------------------ ablation helpers
     def _global_depth(self, num_records: int) -> int:
         """Fixed tree depth for the ``global`` stopping strategy.
@@ -407,7 +208,9 @@ class CPSJoin:
             1, math.ceil(math.log(max(2, num_records)) / math.log(1.0 / self.embedded_threshold))
         )
 
-    def _individual_depths(self, subset: List[int], brute_forcer: BruteForcer) -> np.ndarray:
+    def _individual_depths(
+        self, subset: Sequence[int], estimator: ExecutionBackend, rng: np.random.Generator
+    ) -> np.ndarray:
         """Per-record stopping depths for the ``individual`` strategy.
 
         Following the running-time expression of Section IV-C.5 the depth for
@@ -416,8 +219,9 @@ class CPSJoin:
         collection is ``s`` gets depth ``k_x ≈ ln(n) / ln(λ/s)`` when
         ``s < λ`` (records with ``s ≥ λ`` get depth 0, i.e. immediate brute
         force, which matches the adaptive rule's behaviour for such records).
+        ``rng`` is the repetition generator the sampled estimate draws from.
         """
-        averages = brute_forcer.average_similarities(subset, method=self.config.average_method)
+        averages = estimator.average_similarities(subset, self.config.average_method, rng)
         num_records = max(2, len(subset))
         threshold = self.embedded_threshold
         averages = np.asarray(averages, dtype=np.float64)
@@ -430,11 +234,6 @@ class CPSJoin:
         # are masked before the cast: their ``raw`` value may be NaN/-inf.)
         raw = np.where(at_threshold, 0.0, np.maximum(raw, 1.0))
         return raw.astype(np.int64)
-
-    def run_once_individual(self, collection: PreprocessedCollection, repetition: int = 0) -> JoinResult:
-        """Convenience entry point used by the stopping-strategy ablation."""
-        engine = CPSJoin(self.threshold, self.config.with_overrides(stopping="individual"))
-        return engine.run_once(collection, repetition=repetition)
 
 
 def cpsjoin(

@@ -1,22 +1,21 @@
-"""Level-synchronous array frontier for the Chosen Path tree walk.
+"""Level-synchronous array frontier: the Chosen Path tree walk of CPSJOIN.
 
-The Chosen Path recursion of :mod:`repro.core.cpsjoin` is a tree walk whose
-per-node work — sampling split coordinates, grouping a subproblem by MinHash
-value, testing the BRUTEFORCE cut-offs — is tiny, so a scalar depth-first
-walk spends most of its time in Python call overhead.  This module
-re-expresses the walk breadth-first over *array frontiers*: one flat
-``record_id`` array per tree level (with per-node offsets), all nodes of a
-level split in a single column gather + stable-lexsort grouping pass, the
-stopping rules evaluated as vectorized masks, and candidate tasks emitted
-from array slices.
+The walk's per-node work — sampling split coordinates, grouping a
+subproblem by MinHash value, testing the BRUTEFORCE cut-offs — is tiny, so
+a scalar depth-first walk would spend most of its time in Python call
+overhead.  This module walks the tree breadth-first over *array frontiers*:
+one flat ``record_id`` array per tree level (with per-node offsets), all
+nodes of a level split in a single column gather + stable-lexsort grouping
+pass, the stopping rules evaluated as vectorized masks, and candidate tasks
+emitted from array slices.
 
-**Per-node seeding.**  A breadth-first walk visits nodes in a different
-order than the depth-first reference, so node randomness cannot come from a
-shared sequential generator.  Instead every node's randomness is a pure
-function of its identity:
+**Per-node seeding.**  Node randomness cannot come from a shared sequential
+generator without tying it to the visit order.  Instead every node's
+randomness is a pure function of its identity:
 
-* the repetition generator is consumed exactly once, for a 63-bit
-  ``root_entropy`` value;
+* the repetition generator is consumed once for a 63-bit ``root_entropy``
+  value (and, under the ``individual`` strategy, once more for the
+  per-record depth estimate);
 * each node carries a 64-bit *node key* — ``splitmix64`` of the root entropy
   at the root, mixed with the child rank along every edge
   (:func:`child_node_keys`);
@@ -27,15 +26,14 @@ function of its identity:
   a generator seeded with the node key (:func:`estimator_rng`) — the node's
   identity, not the visit order, names the stream.
 
-Both the recursive reference and this frontier derive their randomness this
-way, so they emit the **identical task stream** (same tasks, same order,
-same ``tree_nodes`` / ``max_depth`` statistics) at any seed; the property
-suite in ``tests/core/test_frontier.py`` enforces this for all three
-stopping strategies.  Depth-first order is recovered from the level arrays
-by a final preorder traversal over the stored parent/child structure — task
-*order* never affects the verified pair set (dedup and verification are
-order-independent), but identical streams make the equivalence testable
-object-for-object.
+Tasks are emitted in the depth-first preorder of the paper's recursion,
+recovered from the level arrays by a vectorized preorder ranking over the
+stored parent/child structure.  Task *order* never affects the verified pair
+set (dedup and verification are order-independent), but it makes the walk
+checkable object-for-object against a scalar depth-first recursion: the
+test oracle ``tests/core/oracle_walk.py`` must emit the identical task
+stream (same tasks, same order, same ``tree_nodes`` / ``max_depth``
+statistics) for all three stopping strategies.
 """
 
 from __future__ import annotations
@@ -51,12 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "child_node_keys",
-    "chosen_split_coordinates",
     "coordinate_uniforms",
     "estimator_rng",
     "fallback_coordinates",
     "frontier_tasks",
-    "resolve_candidate_walk",
     "root_node_key",
 ]
 
@@ -86,9 +82,9 @@ def root_node_key(root_entropy: int) -> int:
 def child_node_keys(parent_keys: np.ndarray, child_ranks: np.ndarray) -> np.ndarray:
     """Node keys of children, mixed from parent keys and child ranks.
 
-    ``child_rank`` is the child's position among its parent's kept buckets —
-    the same enumeration order in both walks, so equal (parent, rank) pairs
-    get equal keys however the tree is traversed.
+    ``child_rank`` is the child's position among its parent's kept buckets,
+    so equal (parent, rank) pairs get equal keys however the tree is
+    traversed.
     """
     parents = np.asarray(parent_keys, dtype=_UINT64)
     ranks = np.asarray(child_ranks).astype(_UINT64) + _UINT64(1)
@@ -124,36 +120,15 @@ def fallback_coordinates(node_keys: np.ndarray, num_functions: int) -> np.ndarra
     return (_mix64(keys ^ _UINT64(_FALLBACK_SALT)) % _UINT64(num_functions)).astype(np.intp)
 
 
-def chosen_split_coordinates(node_key: int, num_functions: int, probability: float) -> np.ndarray:
-    """Sorted split coordinates of one node (scalar-walk entry point).
-
-    Each coordinate is chosen independently with the splitting probability;
-    when none fires the fallback coordinate guarantees progress — exactly the
-    sampling the frontier applies mask-wise to a whole level.
-    """
-    keys = np.array([node_key], dtype=_UINT64)
-    chosen = np.flatnonzero(coordinate_uniforms(keys, num_functions)[0] < probability)
-    if chosen.size == 0:
-        chosen = fallback_coordinates(keys, num_functions)
-    return chosen
-
-
 def estimator_rng(node_key: int) -> np.random.Generator:
     """Generator for a node's sampled average-similarity estimate.
 
     Seeded from the node's 64-bit key — itself a pure function of the root
     entropy and the node's path of child ranks — so the estimate is a pure
-    function of the node's identity: the reason a breadth-first and a
-    depth-first walk can consume "the same" randomness at every node.
+    function of the node's identity, whatever order the walk visits nodes
+    in.
     """
     return np.random.Generator(np.random.PCG64(node_key))
-
-
-def resolve_candidate_walk(candidate_walk: str, backend_name: str) -> str:
-    """Resolve the configured walk: ``auto`` pairs frontier with numpy."""
-    if candidate_walk == "auto":
-        return "frontier" if backend_name == "numpy" else "recursive"
-    return candidate_walk
 
 
 # --------------------------------------------------------------------- split
@@ -168,7 +143,7 @@ def _split_level(
 
     Returns ``(child_records, child_offsets, child_parents, child_ranks,
     child_keys)`` where ``child_parents`` indexes into ``parts`` and children
-    appear parent-major, and within a parent exactly in the reference
+    appear parent-major, and within a parent in the depth-first recursion's
     enumeration order: ascending split coordinate, then buckets by first
     occurrence, members in subset order, buckets of fewer than two records
     dropped.
@@ -283,13 +258,27 @@ def _preorder_positions(
 
 
 def frontier_tasks(stage: "ChosenPathCandidateStage") -> List[Task]:
-    """Run the level-synchronous walk; returns the reference DFS task stream.
+    """Run the level-synchronous walk; returns the depth-first task stream.
 
-    Implements all three stopping strategies with the exact node semantics of
-    the recursive reference (see ``ChosenPathCandidateStage``), but evaluates
-    each rule as a mask over the level and splits all surviving nodes in one
-    :func:`_split_level` pass.  Task payloads are array slices of the level
-    record arrays — the filter stages accept any integer sequence.
+    Node semantics per stopping strategy (each rule is evaluated as a mask
+    over the whole level, then all surviving nodes split in one
+    :func:`_split_level` pass):
+
+    * ``adaptive`` — the BRUTEFORCE step of Algorithm 2.  A node of at most
+      ``limit`` records is emitted whole (BRUTEFORCEPAIRS).  Otherwise every
+      record whose estimated average similarity to the node exceeds
+      ``(1 - ε) λ`` is compared against the rest (BRUTEFORCEPOINT) and
+      removed — the check runs once per node, as in the paper's
+      implementation; a remainder at the limit, or any node at
+      ``max_depth``, is emitted whole, and the rest splits.
+    * ``global`` — nodes below two records vanish; nodes at the limit or at
+      the fixed depth are emitted whole, the rest split.
+    * ``individual`` — as ``global`` with ``max_depth`` as the depth, but
+      first every record whose own depth is reached is compared against the
+      node and removed.
+
+    Task payloads are array slices of the level record arrays — the filter
+    stages accept any integer sequence.
     """
     join = stage.join
     config = join.config
@@ -312,7 +301,7 @@ def frontier_tasks(stage: "ChosenPathCandidateStage") -> List[Task]:
     elif stopping == "individual":
         all_records = list(range(collection.num_records))
         record_depths = np.asarray(
-            join._individual_depths(all_records, estimator), dtype=np.int64
+            join._individual_depths(all_records, estimator, stage.rng), dtype=np.int64
         )
 
     # Per-level node structure, kept for the final preorder emission.  A
@@ -338,8 +327,8 @@ def frontier_tasks(stage: "ChosenPathCandidateStage") -> List[Task]:
 
         if stopping == "adaptive":
             # BRUTEFORCE: subproblems at the limit are emitted whole (this
-            # includes sub-pair subproblems, as in the reference, where the
-            # size-two check runs after the brute-force step).
+            # includes sub-pair subproblems: the size-two check runs after
+            # the brute-force step).
             small = sizes <= limit
             if small.any():
                 for index in np.flatnonzero(small).tolist():
@@ -348,9 +337,7 @@ def frontier_tasks(stage: "ChosenPathCandidateStage") -> List[Task]:
             for index in np.flatnonzero(~small).tolist():
                 subset = records[off[index] : off[index + 1]]
                 averages = estimator.average_similarities(
-                    subset,
-                    method=config.average_method,
-                    rng=estimator_rng(int(keys[index])),
+                    subset, config.average_method, estimator_rng(int(keys[index]))
                 )
                 remove = averages > cutoff
                 if remove.any():
@@ -421,10 +408,10 @@ def frontier_tasks(stage: "ChosenPathCandidateStage") -> List[Task]:
         keys = child_keys
         depth += 1
 
-    # Emit in the depth-first preorder of the recursive reference: a node's
-    # own tasks precede its children's, children in rank order.  The preorder
-    # rank of every node is computed vectorized level-by-level; emission is
-    # then a single pass over the task-bearing nodes in rank order.
+    # Emit in depth-first preorder: a node's own tasks precede its
+    # children's, children in rank order.  The preorder rank of every node is
+    # computed vectorized level-by-level; emission is then a single pass over
+    # the task-bearing nodes in rank order.
     emitted: List[Task] = []
     if level_tasks:
         positions = _preorder_positions(

@@ -11,11 +11,11 @@ randomness only from ``config.seed`` and ``r`` — so the engine can execute
 them on a pool of parallel workers and still produce results that are
 bit-for-bit identical to a sequential run: results are always merged in
 repetition order, regardless of completion order.  Within a repetition the
-randomness is likewise walk-agnostic: the repetition generator is consumed
+randomness is likewise order-agnostic: the repetition generator is consumed
 once for a root entropy draw, and every Chosen Path tree node derives its
 split coordinates and estimator stream from its own node key (see
-:mod:`repro.core.frontier`), so the scalar recursion and the array frontier
-— and any worker executing either — consume identical per-node randomness.
+:mod:`repro.core.frontier`), so any worker consumes identical per-node
+randomness.
 *How* the repetitions are dispatched is a pluggable **executor**:
 
 * ``"serial"`` — run in-process, one after the other (the reference).
@@ -69,7 +69,6 @@ from repro.store import RecordStore, StoreHandle
 __all__ = [
     "EXECUTOR_NAMES",
     "RepetitionEngine",
-    "RepetitionDriver",
     "join_with_target_recall",
     "repetitions_for_recall",
     "process_pool_context",
@@ -366,15 +365,6 @@ class RepetitionEngine:
         stats.results = len(pairs)
         stats.elapsed_seconds = wall.elapsed
         return JoinResult(pairs=pairs, stats=stats)
-
-
-class RepetitionDriver(RepetitionEngine):
-    """Backward-compatible alias of :class:`RepetitionEngine`.
-
-    The seed implementation exposed the sequential driver under this name;
-    it remains available (including the ``workers`` / ``executor``
-    extensions) for existing callers.
-    """
 
 
 def join_with_target_recall(

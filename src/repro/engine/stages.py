@@ -113,7 +113,7 @@ Task = Union[SubsetCandidates, PointCandidates, PairCandidates]
 class CandidateStage(ABC):
     """Algorithm-specific candidate generation.
 
-    Concrete stages live next to their algorithms (the Chosen Path recursion
+    Concrete stages live next to their algorithms (the Chosen Path walk
     in :mod:`repro.core.cpsjoin`, the bucketing loop in
     :mod:`repro.approximate.minhash_lsh`, the LSH/AllPairs candidate
     generators in :mod:`repro.approximate.bayeslsh`); the engine only sees

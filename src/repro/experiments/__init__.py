@@ -24,7 +24,6 @@ Backend micro-benchmark         :mod:`repro.experiments.backend_bench`
 R ⋈ S extension (Section IV)    :mod:`repro.experiments.rs_bench`
 Index serving extension         :mod:`repro.experiments.index_bench`
 Parallel executors (V-A.5)      :mod:`repro.experiments.parallel_bench`
-Candidate-stage walk (V-A.2)    :mod:`repro.experiments.candidate_bench`
 Online serving extension        :mod:`repro.experiments.serve_bench`
 ==============================  =======================================
 """
@@ -42,6 +41,5 @@ __all__ = [
     "rs_bench",
     "index_bench",
     "parallel_bench",
-    "candidate_bench",
     "serve_bench",
 ]

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.backend.kernels import (
     csr_overlaps_one_to_many,
-    csr_weighted_overlaps_one_to_many,
     sketch_estimates,
 )
 from repro.datasets.base import Record
@@ -277,9 +276,9 @@ class SimilarityIndex:
         ``"lsh"`` (the banding structure of
         :class:`repro.index.MinHashLSHIndex`).
     backend:
-        Verification backend: ``"python"`` (early-terminating merge, the
-        reference semantics) or ``"numpy"`` (vectorized CSR intersection).
-        Identical results either way.
+        Verification backend: ``"numpy"`` (vectorized CSR intersection, the
+        default) or ``"python"`` (early-terminating merge, the per-pair
+        oracle).  Identical results either way.
     use_sketches:
         Whether queries run the 1-bit sketch filter before exact
         verification.  Defaults to False in ``"exact"`` mode (the filter has
@@ -329,7 +328,7 @@ class SimilarityIndex:
             raise ValueError("threshold must be in (0, 1]")
         if candidates not in _CANDIDATE_MODES:
             raise ValueError(f"candidates must be one of {_CANDIDATE_MODES}")
-        backend_name = "python" if backend is None else str(backend).lower()
+        backend_name = "numpy" if backend is None else str(backend).lower()
         if backend_name not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
         if batch_size < 1:
@@ -1047,20 +1046,14 @@ class SimilarityIndex:
         self, normalized: Record, query_msize, candidate_ids: np.ndarray
     ) -> List[Match]:
         if self.backend == "numpy":
-            query_tokens = np.asarray(normalized, dtype=np.int64)
-            if self._value_weights is not None:
-                overlaps = csr_weighted_overlaps_one_to_many(
-                    query_tokens,
-                    self._values,
-                    self._value_weights,
-                    self._offsets,
-                    self._sizes,
-                    candidate_ids,
-                )
-            else:
-                overlaps = csr_overlaps_one_to_many(
-                    query_tokens, self._values, self._offsets, self._sizes, candidate_ids
-                )
+            overlaps = csr_overlaps_one_to_many(
+                np.asarray(normalized, dtype=np.int64),
+                self._values,
+                self._offsets,
+                self._sizes,
+                candidate_ids,
+                self._value_weights,
+            )
             return self._accept_matches(query_msize, candidate_ids, overlaps)
         matches: List[Match] = []
         if self.measure.is_default:

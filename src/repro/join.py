@@ -130,9 +130,10 @@ def similarity_join(
         Randomness seed for the randomized algorithms; ignored by the exact
         ones.  An explicit seed takes precedence over ``config.seed``.
     backend:
-        Execution backend for the verification hot paths (``"python"`` /
-        ``"numpy"``); used by ``cpsjoin``, ``minhash`` and ``bayeslsh`` and
-        ignored by the exact algorithms.  Overrides ``config.backend``.
+        Execution backend of the filter/verify kernels (``"numpy"``, the
+        default, or the ``"python"`` oracle); used by ``cpsjoin``,
+        ``minhash`` and ``bayeslsh`` and ignored by the exact algorithms.
+        Overrides ``config.backend``.
     workers:
         Parallel workers for the randomized algorithms: CPSJOIN runs its
         repetitions and MinHash LSH its bucketing rounds on this many workers

@@ -59,8 +59,7 @@ class JoinStats:
 
         Replaces the repeated ``extra[key] = extra.get(key, 0.0) + n`` pattern
         at the call sites, so every candidate-stage implementation bumps the
-        same keys the same way (a frontier walk cannot silently drop a stat a
-        recursive walk maintains, and vice versa).
+        same keys the same way.
         """
         self.extra[key] = self.extra.get(key, 0.0) + float(amount)
 

@@ -19,6 +19,10 @@ A batch is dispatched when either
 ``max_linger_ms=0`` still coalesces: the flush is scheduled on the next
 event-loop iteration, so queries arriving in the same scheduling tick share
 a batch but none waits on wall-clock time.
+
+A batch the runner rejects with ``ValueError`` (a malformed query) is re-run
+one query at a time, so only the offending queries fail; any other error
+fails the whole batch.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class QueryCoalescer:
             "drain_flushes": 0,
             "max_batch_observed": 0,
             "cancelled_dropped": 0,
+            "split_batches": 0,
         }
 
     async def submit(self, record: Record) -> Any:
@@ -143,11 +148,27 @@ class QueryCoalescer:
                 raise RuntimeError(
                     f"batch runner returned {len(results)} results for {len(batch)} queries"
                 )
+        except ValueError as error:
+            if len(batch) == 1:
+                self._fail(batch, error)
+                return
+            # The runner rejected some query of the batch (e.g. a token the
+            # index cannot hash).  Re-run every query alone, so only the
+            # offending ones fail — not the queries that shared their batch.
+            self.counters["split_batches"] += 1
+            for item in batch:
+                if not item[1].done():
+                    await self._run_batch([item])
+            return
         except Exception as error:
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(error)
+            self._fail(batch, error)
             return
         for (_, future), result in zip(batch, results):
             if not future.done():  # the submitter may have been cancelled
                 future.set_result(result)
+
+    @staticmethod
+    def _fail(batch: List[Tuple[Record, asyncio.Future]], error: Exception) -> None:
+        for _, future in batch:
+            if not future.done():
+                future.set_exception(error)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.approximate.bayeslsh import BayesLSHJoin, _posterior_above_threshold, bayeslsh_join
+from repro.approximate.bayeslsh import (
+    BayesianFilterStage,
+    BayesLSHJoin,
+    _posterior_above_threshold,
+    bayeslsh_join,
+)
+from repro.backend import make_backend
+from repro.core.preprocess import preprocess_collection
 from repro.exact.naive import naive_join
 from repro.evaluation.metrics import precision, recall
 from repro.similarity.measures import jaccard_similarity
@@ -22,6 +30,55 @@ class TestPosterior:
     def test_monotone_in_agreements(self) -> None:
         values = [_posterior_above_threshold(m, 64, 0.5) for m in range(0, 65, 8)]
         assert values == sorted(values)
+
+
+def incremental_sketch_check(join: BayesLSHJoin, first_words, second_words) -> bool:
+    """Oracle: compare sketches word by word, pruning once the posterior drops too low."""
+    agreements = 0
+    comparisons = 0
+    for word_first, word_second in zip(first_words, second_words):
+        comparisons += 64
+        agreements += 64 - bin(int(word_first) ^ int(word_second)).count("1")
+        posterior = _posterior_above_threshold(agreements, comparisons, join.threshold)
+        if posterior < join.pruning_probability:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def spread_collection():
+    """Records whose pairwise Jaccard spans the whole range (a duplicate
+    included), plus random ones."""
+    rng = np.random.default_rng(8)
+    base = list(range(1000, 1060))
+    records = [tuple(base)]
+    for replaced in range(0, 60, 2):
+        fresh = rng.choice(np.arange(2000, 4000), size=replaced, replace=False).tolist()
+        records.append(tuple(sorted(base[replaced:] + fresh)))
+    for _ in range(30):
+        records.append(tuple(sorted(rng.choice(5000, size=40, replace=False).tolist())))
+    return preprocess_collection(records, seed=8)
+
+
+class TestBayesianFilterParity:
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("pruning_probability", [0.01, 0.025, 0.2, 0.6])
+    def test_block_path_matches_incremental_oracle(
+        self, spread_collection, threshold, pruning_probability
+    ) -> None:
+        join = BayesLSHJoin(threshold, pruning_probability=pruning_probability)
+        stage = BayesianFilterStage(join, make_backend("numpy", spread_collection, threshold))
+        firsts, seconds = np.triu_indices(spread_collection.num_records, k=1)
+        kept = stage.filter_pairs(firsts, seconds)
+        words = spread_collection.sketches.words
+        expected = [
+            (first, second)
+            for first, second in zip(firsts.tolist(), seconds.tolist())
+            if incremental_sketch_check(join, words[first], words[second])
+        ]
+        assert list(zip(kept[0].tolist(), kept[1].tolist())) == expected
+        # Both outcomes occur, so the comparison is not vacuous.
+        assert 0 < len(expected) < firsts.size
 
 
 class TestBayesLSHJoin:

@@ -85,26 +85,25 @@ class TestParameterSelection:
 
 
 class TestBucketizeParity:
-    """The column-wise numpy bucketing must mirror the dict-loop reference."""
-
-    def _buckets(self, collection, backend, k, seed):
-        import numpy as np
-
-        join = MinHashLSHJoin(0.5, num_hash_functions=k, seed=seed, backend=backend)
-        rng = np.random.default_rng(seed)
-        coordinates = join._draw_coordinates(collection.embedding_size, k, rng)
-        return [
-            [int(record) for record in bucket]
-            for bucket in join._bucketize(collection, coordinates)
-        ]
+    """The column-wise bucketing must mirror the insertion-ordered dict loop."""
 
     def test_numpy_buckets_equal_python_reference(self, uniform_dataset) -> None:
+        import numpy as np
+
         collection = preprocess_collection(uniform_dataset.records, seed=4)
         for k in (1, 2, 3, 5):
-            reference = self._buckets(collection, "python", k, seed=k)
-            vectorized = self._buckets(collection, "numpy", k, seed=k)
+            join = MinHashLSHJoin(0.5, num_hash_functions=k, seed=k)
+            coordinates = join._draw_coordinates(
+                collection.embedding_size, k, np.random.default_rng(k)
+            )
+            groups: dict = {}
+            keys = collection.signatures.matrix[:, coordinates]
+            for record_id, key in enumerate(map(tuple, keys.tolist())):
+                groups.setdefault(key, []).append(record_id)
+            reference = [bucket for bucket in groups.values() if len(bucket) >= 2]
+            buckets = [bucket.tolist() for bucket in join._bucketize(collection, coordinates)]
             # Same buckets, same order, same members in the same order.
-            assert vectorized == reference
+            assert buckets == reference
 
     def test_full_join_pairs_identical_across_backends(self, uniform_dataset) -> None:
         records = uniform_dataset.records[:200]

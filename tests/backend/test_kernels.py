@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.backend import BACKEND_NAMES, NumpyBackend, PythonBackend, make_backend
-from repro.backend.kernels import expand_pair_blocks
+from repro.backend.kernels import csr_overlaps_one_to_many, expand_pair_blocks
 from repro.core.preprocess import preprocess_collection
+from repro.engine import CandidateStage, JoinEngine, SketchFilterStage, SubsetCandidates
+from repro.result import JoinStats
 from repro.similarity.measures import jaccard_similarity
 from repro.similarity.verify import verify_pair_sorted
 
@@ -34,7 +36,7 @@ class TestRegistry:
     def test_make_backend_resolves_names(self, collection) -> None:
         assert isinstance(make_backend("python", collection, 0.5), PythonBackend)
         assert isinstance(make_backend("numpy", collection, 0.5), NumpyBackend)
-        assert isinstance(make_backend(None, collection, 0.5), PythonBackend)
+        assert isinstance(make_backend(None, collection, 0.5), NumpyBackend)
 
     def test_make_backend_passes_instances_through(self, collection) -> None:
         backend = NumpyBackend(collection, 0.5)
@@ -108,26 +110,58 @@ class TestVerifyKernels:
             assert bool(accepted) == expected
 
 
+class _ListStage(CandidateStage):
+    def __init__(self, task_list):
+        self.task_list = task_list
+
+    def tasks(self):
+        yield from self.task_list
+
+
+def _all_pairs(collection, backend, subset, use_sketches, cutoff, threshold=0.5):
+    """BRUTEFORCEPAIRS through the engine: ``(pre_candidates, verified, pairs)``."""
+    engine = JoinEngine(collection, threshold, backend=backend)
+    stats = JoinStats()
+    filter_stage = SketchFilterStage(engine.backend, use_sketches, cutoff)
+    pairs = engine.execute(_ListStage([SubsetCandidates(subset)]), stats, filter_stage)
+    assert stats.candidates == stats.verified
+    return stats.pre_candidates, stats.verified, pairs
+
+
+class TestCsrOverlaps:
+    def test_counts_and_weighted_sums(self, collection) -> None:
+        values, offsets = collection.packed_tokens()
+        sizes = collection.record_sizes()
+        weights = np.random.default_rng(3).random(values.size)
+        query = np.asarray(collection.records[0], dtype=np.int64)
+        for others in (np.array([5]), np.arange(1, 40), np.zeros(0, dtype=np.intp)):
+            counts = csr_overlaps_one_to_many(query, values, offsets, sizes, others)
+            sums = csr_overlaps_one_to_many(query, values, offsets, sizes, others, weights)
+            assert counts.dtype == np.int64 and sums.dtype == np.float64
+            assert counts.size == sums.size == others.size
+            for position, other in enumerate(others.tolist()):
+                span = slice(offsets[other], offsets[other] + sizes[other])
+                hit = np.isin(values[span], query)
+                assert counts[position] == np.count_nonzero(hit)
+                assert sums[position] == pytest.approx(weights[span][hit].sum())
+
+
 class TestAllPairsKernels:
     @pytest.mark.parametrize("use_sketches", [True, False])
     @pytest.mark.parametrize("subset_size", [2, 3, 7, 12, 13, 40, 120])
     def test_all_pairs_matches_reference(self, collection, use_sketches, subset_size) -> None:
         # The numpy word-major filter against the scalar per-pair oracle,
         # from a single pair up to a subset of every record.
-        threshold = 0.5
-        python_backend = PythonBackend(collection, threshold)
-        numpy_backend = NumpyBackend(collection, threshold)
         rng = np.random.default_rng(subset_size)
         subset = rng.choice(collection.num_records, size=subset_size, replace=False).tolist()
-        cutoff = 0.3
-        expected = python_backend.all_pairs(subset, use_sketches, cutoff)
-        actual = numpy_backend.all_pairs(subset, use_sketches, cutoff)
+        expected = _all_pairs(collection, "python", subset, use_sketches, 0.3)
+        actual = _all_pairs(collection, "numpy", subset, use_sketches, 0.3)
         assert actual == expected  # (pre_candidates, verified, accepted pairs)
 
-    def test_trivial_subsets(self, collection) -> None:
-        backend = NumpyBackend(collection, 0.5)
-        assert backend.all_pairs([], True, 0.3) == (0, 0, set())
-        assert backend.all_pairs([4], True, 0.3) == (0, 0, set())
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_trivial_subsets(self, collection, backend) -> None:
+        assert _all_pairs(collection, backend, [], True, 0.3) == (0, 0, set())
+        assert _all_pairs(collection, backend, [4], True, 0.3) == (0, 0, set())
 
 
 class TestExpandPairBlocks:

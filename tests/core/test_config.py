@@ -19,6 +19,18 @@ class TestDefaults:
         assert config.repetitions == 10
         assert config.stopping == "adaptive"
 
+    def test_numpy_is_the_default_backend_on_every_surface(self) -> None:
+        from repro.approximate.bayeslsh import BayesLSHJoin
+        from repro.approximate.minhash_lsh import MinHashLSHJoin
+        from repro.backend import DEFAULT_BACKEND
+        from repro.index import SimilarityIndex
+
+        assert DEFAULT_BACKEND == "numpy"
+        assert CPSJoinConfig().backend == "numpy"
+        assert SimilarityIndex(0.5).backend == "numpy"
+        assert MinHashLSHJoin(0.5).backend == "numpy"
+        assert BayesLSHJoin(0.5).backend == "numpy"
+
     def test_frozen(self) -> None:
         config = CPSJoinConfig()
         with pytest.raises(Exception):

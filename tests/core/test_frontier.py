@@ -3,10 +3,11 @@
 The load-bearing property is *task-stream equivalence*: at any seed the
 level-synchronous frontier of :mod:`repro.core.frontier` must emit the
 identical task stream (same tasks, same order, same tree statistics) as the
-scalar depth-first recursion of :mod:`repro.core.cpsjoin`, for every
-stopping strategy and on every backend.  Everything else — per-node key
-derivation, the vectorized preorder, the depth vectorization — exists to
-uphold that property and is tested against its scalar reference here.
+scalar depth-first recursion kept as a test oracle in ``oracle_walk.py``,
+for every stopping strategy and on every backend.  Everything else —
+per-node key derivation, the vectorized preorder, the depth vectorization —
+exists to uphold that property and is tested against its scalar reference
+here.
 """
 
 from __future__ import annotations
@@ -16,20 +17,19 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro.core.bruteforce import BruteForcer
+from oracle_walk import chosen_split_coordinates, recursive_tasks
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import _SEED_STREAM, CPSJoin, ChosenPathCandidateStage
 from repro.core.frontier import (
     child_node_keys,
-    chosen_split_coordinates,
     coordinate_uniforms,
     estimator_rng,
     fallback_coordinates,
-    resolve_candidate_walk,
+    frontier_tasks,
     root_node_key,
 )
 from repro.core.preprocess import preprocess_collection
-from repro.engine import JoinEngine, PointCandidates, SubsetCandidates
+from repro.engine import CandidateStage, JoinEngine, PointCandidates, SubsetCandidates
 from repro.result import JoinStats
 
 STOPPINGS = ("adaptive", "global", "individual")
@@ -61,24 +61,47 @@ def _normalize(task) -> tuple:
     return ("point", int(task.anchor), tuple(int(r) for r in task.others))
 
 
-def _task_stream(collection, stopping, walk, backend, seed, repetition, limit=4):
-    config = CPSJoinConfig(
-        seed=seed, limit=limit, backend=backend, stopping=stopping, candidate_walk=walk
-    )
-    join = CPSJoin(0.5, config)
-    stats = JoinStats(algorithm="CPSJOIN", threshold=0.5, num_records=collection.num_records)
+WALKS = {"recursive": recursive_tasks, "frontier": frontier_tasks}
+
+
+def _make_stage(join, collection, seed, repetition, stats):
     engine = JoinEngine(
         collection,
         join.threshold,
-        backend=backend,
-        use_sketches=config.use_sketches,
-        sketch_false_negative_rate=config.sketch_false_negative_rate,
+        backend=join.config.backend,
+        use_sketches=join.config.use_sketches,
+        sketch_false_negative_rate=join.config.sketch_false_negative_rate,
         measure=join.measure,
     )
     rng = JoinEngine.repetition_rng(seed, repetition, stream=_SEED_STREAM)
-    stage = ChosenPathCandidateStage(join, collection, engine, rng, stats)
-    stream = [_normalize(task) for task in stage.tasks()]
+    return engine, ChosenPathCandidateStage(join, collection, engine, rng, stats)
+
+
+def _task_stream(collection, stopping, walk, backend, seed, repetition, limit=4):
+    config = CPSJoinConfig(seed=seed, limit=limit, backend=backend, stopping=stopping)
+    join = CPSJoin(0.5, config)
+    stats = JoinStats(algorithm="CPSJOIN", threshold=0.5, num_records=collection.num_records)
+    _, stage = _make_stage(join, collection, seed, repetition, stats)
+    stream = [_normalize(task) for task in WALKS[walk](stage)]
     return stream, dict(stats.extra)
+
+
+class _OracleStage(CandidateStage):
+    def __init__(self, stage) -> None:
+        self.stage = stage
+
+    def tasks(self):
+        return recursive_tasks(self.stage)
+
+
+def _oracle_pairs(join, collection) -> set:
+    """The pairs of ``join.join_preprocessed`` with every repetition walked by the oracle."""
+    pairs = set()
+    for repetition in range(join.config.repetitions):
+        stats = JoinStats()
+        engine, stage = _make_stage(join, collection, join.config.seed, repetition, stats)
+        pairs |= engine.execute(_OracleStage(stage), stats)
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +134,16 @@ class TestTaskStreamEquivalence:
         assert frontier == reference
         assert frontier_extra == reference_extra
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stage_tasks_are_the_frontier(self, walk_collection, backend) -> None:
+        join = CPSJoin(0.5, CPSJoinConfig(seed=11, limit=4, backend=backend))
+        stats = JoinStats()
+        _, stage = _make_stage(join, walk_collection, 11, 0, stats)
+        stream = [_normalize(task) for task in stage.tasks()]
+        assert (stream, dict(stats.extra)) == _task_stream(
+            walk_collection, "adaptive", "frontier", backend, seed=11, repetition=0
+        )
+
     def test_streams_exercise_both_task_shapes(self, walk_collection) -> None:
         # Guard against the suite silently comparing trivial streams: the
         # planted clusters must produce point tasks and the walk must recurse.
@@ -124,14 +157,12 @@ class TestTaskStreamEquivalence:
 
 
 class TestJoinParity:
-    def test_full_join_pair_sets_identical(self, walk_collection) -> None:
-        results = {}
-        for walk in ("recursive", "frontier"):
-            config = CPSJoinConfig(
-                seed=5, repetitions=3, limit=12, backend="numpy", candidate_walk=walk
-            )
-            results[walk] = CPSJoin(0.5, config).join_preprocessed(walk_collection)
-        assert results["frontier"].pairs == results["recursive"].pairs
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_full_join_pair_sets_identical(self, walk_collection, backend) -> None:
+        join = CPSJoin(0.5, CPSJoinConfig(seed=5, repetitions=3, limit=12, backend=backend))
+        frontier = join.join_preprocessed(walk_collection).pairs
+        assert frontier
+        assert frontier == _oracle_pairs(join, walk_collection)
 
     def test_frontier_parity_across_executors_and_workers(self, walk_collection) -> None:
         pair_sets = []
@@ -141,18 +172,11 @@ class TestJoinParity:
                 repetitions=4,
                 limit=12,
                 backend="numpy",
-                candidate_walk="frontier",
                 executor=executor,
                 workers=workers,
             )
             pair_sets.append(CPSJoin(0.5, config).join_preprocessed(walk_collection).pairs)
         assert pair_sets[0] == pair_sets[1]
-
-    def test_auto_walk_resolution(self) -> None:
-        assert resolve_candidate_walk("auto", "numpy") == "frontier"
-        assert resolve_candidate_walk("auto", "python") == "recursive"
-        assert resolve_candidate_walk("recursive", "numpy") == "recursive"
-        assert resolve_candidate_walk("frontier", "python") == "frontier"
 
 
 class TestNodeKeys:
@@ -202,25 +226,17 @@ class TestIndividualDepths:
 
         config = CPSJoinConfig(seed=3, backend="numpy")
         join = CPSJoin(0.5, config)
-        stats = JoinStats()
-        engine = JoinEngine(walk_collection, 0.5, backend="numpy", measure=join.measure)
+        backend = JoinEngine(walk_collection, 0.5, backend="numpy", measure=join.measure).backend
 
-        # Two estimators with identically-seeded generators: the sampled
-        # average estimate consumes generator state, so each computation gets
-        # its own stream to make the comparison exact.
-        def make_estimator() -> BruteForcer:
-            return BruteForcer(
-                walk_collection,
-                join.embedded_threshold,
-                stats,
-                rng=np.random.default_rng(99),
-                backend=engine.backend,
-            )
-
+        # Identically-seeded generators: the sampled average estimate
+        # consumes generator state, so each computation gets its own stream
+        # to make the comparison exact.
         subset = list(range(walk_collection.num_records))
-        depths = join._individual_depths(subset, make_estimator())
+        depths = join._individual_depths(subset, backend, np.random.default_rng(99))
 
-        averages = make_estimator().average_similarities(subset, method=config.average_method)
+        averages = backend.average_similarities(
+            subset, config.average_method, np.random.default_rng(99)
+        )
         threshold = join.embedded_threshold
         num_records = max(2, len(subset))
         expected = []

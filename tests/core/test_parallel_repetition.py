@@ -14,7 +14,7 @@ import pytest
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import CPSJoin, cpsjoin
 from repro.core.preprocess import preprocess_collection
-from repro.core.repetition import RepetitionDriver, RepetitionEngine
+from repro.core.repetition import RepetitionEngine
 from repro.exact.naive import naive_join
 from repro.join import similarity_join
 
@@ -101,12 +101,3 @@ class TestValidation:
     def test_unknown_backend_rejected(self) -> None:
         with pytest.raises(ValueError):
             CPSJoinConfig(backend="cython")
-
-    def test_driver_alias_still_works(self, uniform_dataset) -> None:
-        records = uniform_dataset.records[:100]
-        engine = CPSJoin(0.5, CPSJoinConfig(seed=2))
-        collection = preprocess_collection(records, seed=2)
-        driver = RepetitionDriver(engine, collection)
-        assert isinstance(driver, RepetitionEngine)
-        result = driver.run_fixed(2)
-        assert result.stats.repetitions == 2

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import CPSJoinConfig
 from repro.core.cpsjoin import CPSJoin
 from repro.core.preprocess import preprocess_collection
-from repro.core.repetition import RepetitionDriver, join_with_target_recall, repetitions_for_recall
+from repro.core.repetition import RepetitionEngine, join_with_target_recall, repetitions_for_recall
 from repro.exact.naive import naive_join
 from repro.evaluation.metrics import recall
 
@@ -27,12 +27,12 @@ class TestRepetitionsForRecall:
             repetitions_for_recall(0.5, 1.0)
 
 
-class TestRepetitionDriver:
+class TestRepetitionEngine:
     def _driver(self, records, threshold=0.5, seed=1):
         config = CPSJoinConfig(seed=seed)
         engine = CPSJoin(threshold, config)
         collection = preprocess_collection(records, seed=seed)
-        return RepetitionDriver(engine, collection)
+        return RepetitionEngine(engine, collection)
 
     def test_run_fixed_counts_repetitions(self, uniform_dataset) -> None:
         driver = self._driver(uniform_dataset.records[:100])

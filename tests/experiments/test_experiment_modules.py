@@ -183,36 +183,6 @@ class TestParallelBench:
         assert len(payload["rows"]) == 4
 
 
-class TestCandidateBench:
-    def test_smoke_rows_and_artifact(self, tmp_path) -> None:
-        from repro.experiments import candidate_bench
-
-        out_json = tmp_path / "BENCH_candidate.json"
-        rows = candidate_bench.run(
-            scale=0.04,
-            seed=21,
-            repetitions=2,
-            trials=1,
-            workloads=[("UNIFORM005", 4.0)],
-            out_json=str(out_json),
-        )
-        # Both walks on one workload; run() itself asserts the frontier's
-        # verified pair set equals the recursive reference's.
-        assert [row["walk"] for row in rows] == ["recursive", "frontier"]
-        for row in rows:
-            assert row["identical_pairs"] is True
-            assert row["candidate_seconds"] >= 0.0
-            assert row["tasks_per_second"] >= 0
-        assert rows[0]["candidate_speedup"] == 1.0
-        assert rows[0]["pairs"] == rows[1]["pairs"]
-        import json
-
-        payload = json.loads(out_json.read_text())
-        assert payload["experiment"] == "candidate-bench"
-        assert payload["environment"]["cpu_count"] is not None
-        assert len(payload["rows"]) == 2
-
-
 class TestServeBench:
     def test_smoke_rows_and_artifact(self, tmp_path) -> None:
         from repro.experiments import serve_bench

@@ -208,6 +208,49 @@ class TestFailurePropagation:
         results = asyncio.run(scenario())
         assert all(isinstance(result, RuntimeError) for result in results)
 
+    def test_rejected_query_fails_alone(self) -> None:
+        poison = (666,)
+
+        class _RejectingRunner(_RecordingRunner):
+            async def __call__(self, records):
+                if poison in records:
+                    self.batches.append(list(records))
+                    raise ValueError(f"cannot hash {poison}")
+                return await super().__call__(records)
+
+        runner = _RejectingRunner()
+
+        async def scenario():
+            coalescer = QueryCoalescer(runner, max_batch=64, max_linger_ms=50.0)
+            records = [(1,), poison, (2,)]
+            results = await asyncio.gather(
+                *(coalescer.submit(record) for record in records), return_exceptions=True
+            )
+            return coalescer, results
+
+        coalescer, results = asyncio.run(scenario())
+        assert results[0] == ("result", (1,))
+        assert isinstance(results[1], ValueError)
+        assert results[2] == ("result", (2,))
+        # One shared batch, then each query re-run alone.
+        assert runner.batches == [[(1,), poison, (2,)], [(1,)], [poison], [(2,)]]
+        assert coalescer.counters["split_batches"] == 1
+
+    def test_value_error_of_a_single_query_is_not_retried(self) -> None:
+        calls = []
+
+        async def rejecting_runner(records):
+            calls.append(list(records))
+            raise ValueError("bad query")
+
+        async def scenario():
+            coalescer = QueryCoalescer(rejecting_runner, max_batch=64, max_linger_ms=1.0)
+            return await asyncio.gather(coalescer.submit((1,)), return_exceptions=True)
+
+        results = asyncio.run(scenario())
+        assert isinstance(results[0], ValueError)
+        assert calls == [[(1,)]]
+
 
 def coalesced_order(runner: _RecordingRunner) -> List:
     """All records in dispatch order (flattened batches)."""

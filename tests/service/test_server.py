@@ -204,6 +204,44 @@ class TestErrorHandling:
         finally:
             handle.stop()
 
+    def test_unhashable_query_fails_alone_in_a_shared_batch(self) -> None:
+        # On a sketching index a token beyond 32 bits fails the whole
+        # query_batch; the coalescer re-runs the batch query by query, so a
+        # valid query that shared the batch is still answered.
+        def factory():
+            return make_index(candidates="lsh", seed=1)
+
+        valid, bad = list(BASE_RECORDS[0]), [1, 2, 2**40]
+        expected = factory().query(valid)
+        server = SimilarityServer(index_factory=factory, max_linger_ms=1000.0)
+        handle = serve_in_thread(server)
+        try:
+            def ask(record):
+                with ServiceClient.connect(*handle.address) as client:
+                    try:
+                        return client.query(record)
+                    except ServiceError as error:
+                        return error
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                answers = list(pool.map(ask, [valid, bad]))
+            with ServiceClient.connect(*handle.address) as client:
+                stats = client.stats()
+                snapshot = client.metrics()["values"]
+        finally:
+            handle.stop()
+        assert answers[0] == expected
+        assert isinstance(answers[1], ServiceError)
+        assert "32-bit tabulation key" in str(answers[1])
+        assert stats["server"]["coalescer"]["batches"] == 1
+        assert stats["server"]["coalescer"]["split_batches"] == 1
+        outcomes = {
+            series["labels"]["outcome"]: series["value"]
+            for series in snapshot["repro_service_responses_total"]["series"]
+            if series["labels"]["op"] == "query"
+        }
+        assert outcomes == {"error": 1, "ok": 1}
+
     def test_malformed_line_answered_with_error(self, running_server) -> None:
         with ServiceClient.connect(*running_server.address) as client:
             client._socket.sendall(b"{not json}\n")
