@@ -10,8 +10,9 @@ any Python:
   algorithms): the reported pairs are (left index, right index).
 * ``repro-join index`` — the build-once/query-many workflow: ``index build``
   constructs a :class:`repro.index.SimilarityIndex` over a dataset file and
-  saves it (versioned format, old bare pickles still load); ``index query``
-  loads the file and runs point lookups from a query file (optionally
+  saves its settings and records (a pickle-free archive; old pickle files are
+  refused); ``index query`` rebuilds the index from the file and runs point
+  lookups from a query file (optionally
   inserting each query afterwards, the streaming deduplication shape);
   ``index query-topk`` keeps only each query's k best matches.  ``join``,
   ``index build`` and ``serve`` accept ``--measure`` to join/query under any
@@ -41,8 +42,8 @@ Examples::
 
     repro-join generate NETFLIX --scale 0.3 --out netflix.txt
     repro-join join netflix.txt --threshold 0.7 --algorithm cpsjoin --out pairs.csv
-    repro-join index build netflix.txt --threshold 0.7 --out netflix.index.pkl
-    repro-join index query netflix.index.pkl queries.txt --out matches.csv
+    repro-join index build netflix.txt --threshold 0.7 --out netflix.idx
+    repro-join index query netflix.idx queries.txt --out matches.csv
     repro-join serve netflix.txt --threshold 0.7 --port 7777 --data-dir ./serve-state
     repro-join stats netflix.txt
     repro-join experiment figure2 --scale 0.2
@@ -121,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     index_subparsers = index_parser.add_subparsers(dest="index_command", required=True)
 
     index_build = index_subparsers.add_parser(
-        "build", help="build a SimilarityIndex over a dataset file and pickle it"
+        "build", help="build a SimilarityIndex over a dataset file and save it"
     )
     index_build.add_argument("input", type=str, help="dataset file (one record per line of integer tokens)")
-    index_build.add_argument("--out", type=str, required=True, help="output pickle path")
+    index_build.add_argument("--out", type=str, required=True, help="output index file path")
     index_build.add_argument(
         "--threshold", type=float, default=0.5,
         help="similarity threshold on the measure's own scale (default 0.5)",
@@ -162,15 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     index_query = index_subparsers.add_parser(
-        "query", help="run point lookups from a query file against a pickled index"
+        "query", help="run point lookups from a query file against a saved index"
     )
-    index_query.add_argument("index", type=str, help="pickled index produced by `index build`")
+    index_query.add_argument("index", type=str, help="index file written by `index build`")
     index_query.add_argument("queries", type=str, help="query dataset file (same token-set format)")
     index_query.add_argument(
         "--insert",
         action="store_true",
         help="insert each query record into the index after querying it (streaming "
-        "dedup shape) and rewrite the pickle afterwards",
+        "dedup shape) and rewrite the index file afterwards",
     )
     index_query.add_argument(
         "--out", type=str, default=None, help="write matches as CSV to this path (default stdout)"
@@ -190,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     index_topk = index_subparsers.add_parser(
         "query-topk",
-        help="run top-k lookups from a query file against a pickled index",
+        help="run top-k lookups from a query file against a saved index",
     )
-    index_topk.add_argument("index", type=str, help="pickled index produced by `index build`")
+    index_topk.add_argument("index", type=str, help="index file written by `index build`")
     index_topk.add_argument("queries", type=str, help="query dataset file (same token-set format)")
     index_topk.add_argument(
         "--k", type=int, required=True,
@@ -471,8 +472,8 @@ def _command_index(args: argparse.Namespace) -> int:
         index.executor = args.executor
     queries = read_dataset(args.queries)
     inserting = getattr(args, "insert", False)
-    # A loaded index carries the stats of every previous session; report the
-    # timing of *this* run as deltas against the loaded snapshot.
+    # A loaded index carries the stats of its rebuild; report the timing of
+    # *this* run's queries as deltas against them.
     before = index.stats.snapshot()
     rows = []
     if args.index_command == "query-topk":

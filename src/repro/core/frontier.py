@@ -54,6 +54,7 @@ __all__ = [
     "fallback_coordinates",
     "frontier_tasks",
     "root_node_key",
+    "token_uniforms",
 ]
 
 _UINT64 = np.uint64
@@ -91,13 +92,25 @@ def child_node_keys(parent_keys: np.ndarray, child_ranks: np.ndarray) -> np.ndar
     return _mix64(parents ^ _mix64(ranks))
 
 
+def _counter_salts(counters: np.ndarray) -> np.ndarray:
+    """Mixed salts of integer counters (coordinates or tokens, wrapped to uint64)."""
+    return _mix64(np.asarray(counters).astype(_UINT64) + _UINT64(_GOLDEN))
+
+
+def _keyed_uniforms(node_keys: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    """Uniforms in ``[0, 1)`` of every (node key, salt) pair, one row per node."""
+    keys = np.asarray(node_keys, dtype=_UINT64)
+    mixed = _mix64(keys[:, None] ^ salts[None, :])
+    return (mixed >> _UINT64(11)).astype(np.float64) * (2.0**-53)
+
+
 _COORDINATE_SALTS: Dict[int, np.ndarray] = {}
 
 
 def _coordinate_salts(num_functions: int) -> np.ndarray:
     salts = _COORDINATE_SALTS.get(num_functions)
     if salts is None:
-        salts = _mix64(np.arange(num_functions, dtype=_UINT64) + _UINT64(_GOLDEN))
+        salts = _counter_salts(np.arange(num_functions, dtype=_UINT64))
         _COORDINATE_SALTS[num_functions] = salts
     return salts
 
@@ -109,9 +122,17 @@ def coordinate_uniforms(node_keys: np.ndarray, num_functions: int) -> np.ndarray
     ``(node_keys[i], j)``, so a frontier of nodes evaluates the whole matrix
     in one pass and a scalar walk gets the identical row one node at a time.
     """
-    keys = np.asarray(node_keys, dtype=_UINT64)
-    mixed = _mix64(keys[:, None] ^ _coordinate_salts(num_functions)[None, :])
-    return (mixed >> _UINT64(11)).astype(np.float64) * (2.0**-53)
+    return _keyed_uniforms(node_keys, _coordinate_salts(num_functions))
+
+
+def token_uniforms(node_keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Per-(node, token) uniforms in ``[0, 1)`` — the Chosen Path index's ``r(j)``.
+
+    The sibling of :func:`coordinate_uniforms` keyed by token value instead
+    of coordinate index (negative tokens wrap to uint64): row ``i`` column
+    ``j`` is a pure function of ``(node_keys[i], tokens[j])``.
+    """
+    return _keyed_uniforms(node_keys, _counter_salts(tokens))
 
 
 def fallback_coordinates(node_keys: np.ndarray, num_functions: int) -> np.ndarray:

@@ -15,7 +15,6 @@ which are re-implemented here:
 from repro.hashing.minhash import MinHasher, MinHashSignatures
 from repro.hashing.sketch import OneBitMinHashSketches, sketch_similarity_threshold
 from repro.hashing.tabulation import TabulationHash, TabulationHashFamily
-from repro.hashing.universal import MultiplyShiftHash, UniformHash
 
 __all__ = [
     "MinHasher",
@@ -24,6 +23,4 @@ __all__ = [
     "sketch_similarity_threshold",
     "TabulationHash",
     "TabulationHashFamily",
-    "MultiplyShiftHash",
-    "UniformHash",
 ]

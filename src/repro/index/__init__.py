@@ -7,10 +7,12 @@ algorithms, useful when one collection is indexed once and probed many times
 (e.g. streaming deduplication against a reference collection):
 
 * :class:`repro.index.chosen_path.ChosenPathIndex` — the Chosen Path index:
-  a forest of random token-trees; a query walks the same trees and verifies
-  the records it collides with.
+  a forest of random token-trees; a query walks the same trees and returns
+  the records it collides with as candidates.
 * :class:`repro.index.minhash_lsh.MinHashLSHIndex` — classic MinHash LSH
   banding index, the baseline the Chosen Path index improves upon.
+
+Both are candidate structures only; :class:`SimilarityIndex` verifies.
 * :class:`repro.index.similarity_index.SimilarityIndex` — the
   build-once/query-many front end: incremental inserts, batched point
   lookups through the staged filter/verify kernels of the join engine, and

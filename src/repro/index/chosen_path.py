@@ -3,11 +3,20 @@
 This is the data structure of Christiani & Pagh ("Set similarity search
 beyond MinHash", STOC 2017) that inspired CPSJOIN — reference [5] of the
 paper.  The index grows a forest of random *token trees*: at every node a
-fresh hash function ``r`` maps tokens to ``[0, 1)`` and a record follows the
+hash function ``r`` maps tokens to ``[0, 1)`` and a record follows the
 child for token ``j ∈ x`` whenever ``r(j) < 1/(λ |x|)``.  A record is stored
 in every leaf (node at the cut-off depth) it reaches; a query walks the same
 trees with the same hash functions, and every indexed record it meets at a
-leaf becomes a candidate that is verified exactly.
+leaf is a candidate for the caller to verify.
+
+The node hashes are counter-based, as in the join's frontier walk
+(:mod:`repro.core.frontier`): each tree's root key mixes the index seed with
+the tree number, a child's key is :func:`~repro.core.frontier.child_node_keys`
+of its parent's key and the token followed, and ``r(j)`` at a node is
+:func:`~repro.core.frontier.token_uniforms` of ``(node key, j)``.  A
+record's leaves are therefore a pure function of the record and the seed:
+queries never change the index, and any insertion order of the same records
+yields the same forest.
 
 Two records with Braun–Blanquet similarity at least ``λ`` follow a common
 path of length ``k`` with probability at least ``1/(k+1)`` (Lemma 5 /
@@ -18,8 +27,8 @@ Differences from CPSJOIN (Section IV-B of the paper): the index is
 parameterized by a fixed depth and number of trees (non-adaptive), stores
 every root-to-leaf path (space grows with both), and answers *queries*
 instead of materializing a join.  It is included both as the historical
-substrate of the paper's contribution and as a practical index for
-index-once / query-many workloads.
+substrate of the paper's contribution and as the candidate structure of
+``SimilarityIndex(candidates="chosenpath")``.
 """
 
 from __future__ import annotations
@@ -29,10 +38,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.hashing.universal import UniformHash
-from repro.similarity.verify import verify_pair
+from repro.core.frontier import child_node_keys, root_node_key, token_uniforms
 
 __all__ = ["ChosenPathIndex"]
+
+_SEED_MASK = 2**64 - 1
 
 
 class ChosenPathIndex:
@@ -41,8 +51,8 @@ class ChosenPathIndex:
     Parameters
     ----------
     threshold:
-        Similarity threshold ``λ`` used both for the branching probability
-        ``1/(λ|x|)`` and for verifying query results.
+        Similarity threshold ``λ`` in ``(0, 1]`` setting the branching
+        probability ``1/(λ|x|)``.
     depth:
         Length of the root-to-leaf paths (the ``k`` of the analysis).  When
         ``None`` a depth of ``⌈log₂(1/target_miss)⌉`` is not meaningful for
@@ -51,7 +61,7 @@ class ChosenPathIndex:
     repetitions:
         Number of independent trees in the forest.
     seed:
-        Seed for all node hash functions.
+        Seed of the node keys (``None`` draws one).
     """
 
     def __init__(
@@ -61,72 +71,51 @@ class ChosenPathIndex:
         repetitions: int = 10,
         seed: Optional[int] = None,
     ) -> None:
-        if not 0.0 < threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError("threshold must be in (0, 1]")
         if depth is not None and depth < 1:
             raise ValueError("depth must be positive")
         if repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if seed is None:
+            seed = int(np.random.default_rng().integers(2**63))
         self.threshold = threshold
         self.depth = depth if depth is not None else 4
         self.repetitions = repetitions
-        self._rng = np.random.default_rng(seed)
-        # Hash functions are lazily created per (tree, path) node so that the
-        # forest never materializes nodes no record reaches.
-        self._node_hashes: Dict[Tuple[int, Tuple[int, ...]], UniformHash] = {}
-        # Leaf buckets: (tree, full path) -> record ids.
-        self._leaves: Dict[Tuple[int, Tuple[int, ...]], List[int]] = defaultdict(list)
-        self._records: List[Tuple[int, ...]] = []
+        root = np.full(repetitions, root_node_key(seed & _SEED_MASK), dtype=np.uint64)
+        self._root_keys = child_node_keys(root, np.arange(repetitions))
+        # Leaf buckets: leaf node key -> record ids.
+        self._leaves: Dict[int, List[int]] = defaultdict(list)
+        self._count = 0
 
-    # ------------------------------------------------------------------ internals
-    def _node_hash(self, tree: int, path: Tuple[int, ...]) -> UniformHash:
-        key = (tree, path)
-        if key not in self._node_hashes:
-            self._node_hashes[key] = UniformHash(self._rng)
-        return self._node_hashes[key]
+    def _leaf_keys(self, record: Tuple[int, ...]) -> np.ndarray:
+        """Keys of every leaf the record reaches, all trees walked as one array.
 
-    def _paths_of(self, record: Tuple[int, ...], tree: int) -> List[Tuple[int, ...]]:
-        """All root-to-leaf paths the record follows in one tree.
-
-        Each node tests all of the record's tokens in one vectorized hash
-        pass.  ``UniformHash.value`` masks its key to 32 bits while the
-        vectorized ``values`` does not, so the tokens are masked here once —
-        keeping the branching decisions (and therefore existing persisted
-        buckets) identical to the scalar per-token loop, negative tokens
-        included (their two's-complement low 32 bits).
+        Each level tests every (node, token) pair of the frontier in one
+        :func:`token_uniforms` call; the surviving pairs become the next
+        level's node keys.
         """
         branch_probability = min(1.0, 1.0 / (self.threshold * len(record)))
-        tokens = np.fromiter(
-            (token & 0xFFFFFFFF for token in record), dtype=np.uint64, count=len(record)
-        )
-        frontier: List[Tuple[int, ...]] = [()]
+        tokens = np.asarray(record, dtype=np.int64)
+        keys = self._root_keys
         for _ in range(self.depth):
-            next_frontier: List[Tuple[int, ...]] = []
-            for path in frontier:
-                node_hash = self._node_hash(tree, path)
-                branching = node_hash.values(tokens) < branch_probability
-                for position in np.flatnonzero(branching).tolist():
-                    next_frontier.append(path + (record[position],))
-            frontier = next_frontier
-            if not frontier:
-                break
-        return frontier
+            nodes, positions = np.nonzero(token_uniforms(keys, tokens) < branch_probability)
+            keys = child_node_keys(keys[nodes], tokens[positions])
+        return keys
 
     # ------------------------------------------------------------------ public API
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def insert(self, record: Sequence[int]) -> int:
         """Insert a record into every tree of the forest; returns its id."""
         record_tuple = tuple(sorted(set(int(token) for token in record)))
         if not record_tuple:
             raise ValueError("cannot index an empty record")
-        paths = [self._paths_of(record_tuple, tree) for tree in range(self.repetitions)]
-        record_id = len(self._records)
-        self._records.append(record_tuple)
-        for tree, tree_paths in enumerate(paths):
-            for path in tree_paths:
-                self._leaves[(tree, path)].append(record_id)
+        record_id = self._count
+        for key in self._leaf_keys(record_tuple).tolist():
+            self._leaves[key].append(record_id)
+        self._count += 1
         return record_id
 
     def insert_all(self, records: Sequence[Sequence[int]]) -> List[int]:
@@ -137,25 +126,12 @@ class ChosenPathIndex:
         """Ids of indexed records sharing a leaf with the query in any tree."""
         record_tuple = tuple(sorted(set(int(token) for token in record)))
         found: Set[int] = set()
-        for tree in range(self.repetitions):
-            for path in self._paths_of(record_tuple, tree):
-                found.update(self._leaves.get((tree, path), ()))
+        leaves = self._leaves
+        for key in self._leaf_keys(record_tuple).tolist():
+            bucket = leaves.get(key)
+            if bucket is not None:
+                found.update(bucket)
         return found
-
-    def query(self, record: Sequence[int]) -> List[Tuple[int, float]]:
-        """Indexed records with Jaccard similarity ≥ threshold to the query.
-
-        Every candidate is verified exactly, so precision is 1.0; recall per
-        qualifying record is at least ``1 - (1 - 1/(depth+1))^repetitions``
-        by the Agresti bound.
-        """
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
-        results: List[Tuple[int, float]] = []
-        for candidate_id in self.candidates(record_tuple):
-            accepted, similarity = verify_pair(record_tuple, self._records[candidate_id], self.threshold)
-            if accepted:
-                results.append((candidate_id, similarity))
-        return sorted(results, key=lambda item: (-item[1], item[0]))
 
     def recall_lower_bound(self) -> float:
         """Per-query lower bound on the probability of reporting a qualifying record."""
@@ -173,7 +149,3 @@ class ChosenPathIndex:
         if record_size < 1:
             raise ValueError("record_size must be positive")
         return (1.0 / self.threshold) ** self.depth
-
-    def record(self, record_id: int) -> Tuple[int, ...]:
-        """The stored record with the given id."""
-        return self._records[record_id]

@@ -2,8 +2,8 @@
 
 The standard construction: ``bands`` independent bands of ``rows`` MinHash
 values each; a record is inserted into one bucket per band keyed by the
-band's value tuple; a query retrieves the union of its buckets and verifies
-the candidates exactly.  A pair with Jaccard similarity ``s`` collides in at
+band's values; a query retrieves the union of its buckets as candidates for
+the caller to verify.  A pair with Jaccard similarity ``s`` collides in at
 least one band with probability ``1 - (1 - s^rows)^bands``.
 
 This is the query-time counterpart of the MINHASH join baseline
@@ -14,11 +14,11 @@ Chosen Path index in :mod:`repro.index.chosen_path`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
 
 from repro.hashing.minhash import MinHasher
-from repro.similarity.verify import verify_pair
 
 __all__ = ["MinHashLSHIndex"]
 
@@ -29,7 +29,7 @@ class MinHashLSHIndex:
     Parameters
     ----------
     threshold:
-        Jaccard threshold queries will be verified against.
+        Jaccard threshold the banding parameters are chosen for.
     bands, rows:
         Banding parameters; ``bands * rows`` MinHash functions are sampled.
         The defaults (32 bands of 4 rows) give a collision probability above
@@ -47,11 +47,11 @@ class MinHashLSHIndex:
         self.bands = bands
         self.rows = rows
         self._minhasher = MinHasher(num_functions=bands * rows, seed=seed)
-        self._buckets: List[Dict[Tuple[int, ...], List[int]]] = [defaultdict(list) for _ in range(bands)]
-        self._records: List[Tuple[int, ...]] = []
+        self._buckets: List[Dict[bytes, List[int]]] = [defaultdict(list) for _ in range(bands)]
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def collision_probability(self, similarity: float) -> float:
         """Probability that a pair at the given similarity shares at least one bucket."""
@@ -59,53 +59,38 @@ class MinHashLSHIndex:
             raise ValueError("similarity must be in [0, 1]")
         return 1.0 - (1.0 - similarity**self.rows) ** self.bands
 
-    def _band_keys(self, record: Sequence[int]) -> List[Tuple[int, ...]]:
-        # One bulk tolist() yields Python ints for every band at once —
-        # identical keys to the old per-element int() loop.
-        values = self._minhasher.signature(record).tolist()
-        return [
-            tuple(values[band * self.rows : (band + 1) * self.rows]) for band in range(self.bands)
-        ]
+    def _band_keys(self, records: Sequence[Sequence[int]]) -> np.ndarray:
+        """Band keys of a record block, from one MinHash call over the block.
+
+        An ``(n, bands)`` array whose entries are the raw bytes of each
+        band's ``rows`` signature values.  Raises :class:`ValueError` (an
+        empty record, or a token that is no 32-bit tabulation key) before
+        any caller state changes.
+        """
+        matrix = np.ascontiguousarray(self._minhasher.signatures(records).matrix)
+        return matrix.view(np.dtype((np.void, matrix.itemsize * self.rows)))
 
     def insert(self, record: Sequence[int]) -> int:
         """Insert a record; returns its id within the index."""
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
-        if not record_tuple:
-            raise ValueError("cannot index an empty record")
-        keys = self._band_keys(record_tuple)  # may raise: before any state changes
-        record_id = len(self._records)
-        self._records.append(record_tuple)
-        for band, key in enumerate(keys):
-            self._buckets[band][key].append(record_id)
-        return record_id
+        return self.insert_all([record])[0]
 
     def insert_all(self, records: Sequence[Sequence[int]]) -> List[int]:
-        """Insert many records; returns their ids."""
-        return [self.insert(record) for record in records]
+        """Insert many records; returns their ids.
+
+        The whole block is hashed before any bucket changes, so a record
+        that cannot be hashed leaves the index untouched.
+        """
+        block_keys = self._band_keys(records)
+        first = self._count
+        for bucket, keys in zip(self._buckets, block_keys.T.tolist()):
+            for record_id, key in enumerate(keys, first):
+                bucket[key].append(record_id)
+        self._count += block_keys.shape[0]
+        return list(range(first, self._count))
 
     def candidates(self, record: Sequence[int]) -> Set[int]:
         """Ids of indexed records sharing at least one LSH bucket with the query."""
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
         found: Set[int] = set()
-        for band, key in enumerate(self._band_keys(record_tuple)):
-            found.update(self._buckets[band].get(key, ()))
+        for bucket, key in zip(self._buckets, self._band_keys([record])[0].tolist()):
+            found.update(bucket.get(key, ()))
         return found
-
-    def query(self, record: Sequence[int]) -> List[Tuple[int, float]]:
-        """Indexed records with Jaccard similarity ≥ threshold to the query.
-
-        Returns ``(record_id, similarity)`` pairs sorted by decreasing
-        similarity.  Precision is exact (every candidate is verified); recall
-        is governed by :meth:`collision_probability`.
-        """
-        record_tuple = tuple(sorted(set(int(token) for token in record)))
-        results: List[Tuple[int, float]] = []
-        for candidate_id in self.candidates(record_tuple):
-            accepted, similarity = verify_pair(record_tuple, self._records[candidate_id], self.threshold)
-            if accepted:
-                results.append((candidate_id, similarity))
-        return sorted(results, key=lambda item: (-item[1], item[0]))
-
-    def record(self, record_id: int) -> Tuple[int, ...]:
-        """The stored record with the given id."""
-        return self._records[record_id]

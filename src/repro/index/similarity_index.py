@@ -33,13 +33,26 @@ Per-stage query timings and counters accumulate in :attr:`stats`
 (``candidate_seconds`` / ``filter_seconds`` / ``verify_seconds``), with
 build time in ``index_build_seconds`` — the same fields the batch joins
 report.
+
+An index is a pure function of its constructor settings (with ``seed=None``
+resolved to a concrete seed) and its records in insertion order: every
+hash is seeded from the settings, and queries change no structure.  So
+:meth:`SimilarityIndex.save` writes only those two things — a JSON manifest
+plus the CSR token arrays, in ``np.savez`` format — and
+:meth:`SimilarityIndex.load` rebuilds postings, sketches, LSH buckets and
+Chosen Path leaves through :meth:`SimilarityIndex.build`.  Loading never
+unpickles anything.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
+import operator
+import os
 import pickle
-import struct
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -75,15 +88,22 @@ Match = Tuple[int, float]
 _WORD_BITS = 64
 
 _SAVE_MAGIC = b"REPRO-SIMIDX\n"
-"""File magic of :meth:`SimilarityIndex.save`; a bare pickle never starts with it."""
+"""File magic of the pickle-based formats 1 and 2, refused by :meth:`SimilarityIndex.load`."""
 
-SAVE_FORMAT_VERSION = 2
-"""Current on-disk format version written by :meth:`SimilarityIndex.save`.
+SAVE_FORMAT_VERSION = 3
+"""On-disk format version written by :meth:`SimilarityIndex.save`.
 
-Version 2 added the similarity-measure state (the ``measure`` attribute plus
-the weighted token storage); version-1 files — which were always implicit
-Jaccard — still load, defaulting to the Jaccard measure.
+Version 3 is an ``np.savez`` archive of the settings manifest and the
+records.  Versions 1 and 2 were pickles; they are refused, never unpickled.
 """
+
+_ATTRIBUTE_SETTINGS = (
+    "threshold", "candidates", "backend", "use_sketches", "seed", "batch_size", "workers", "executor"
+)
+"""Constructor settings kept as public attributes (the rest: ``_structure_settings``)."""
+
+_RECORD_MEMBERS = {"manifest": np.uint8, "token_values": np.int64, "token_offsets": np.int64}
+_WEIGHT_MEMBERS = {"weight_tokens": np.int64, "weight_values": np.float64}
 
 
 class IndexPersistenceError(ValueError):
@@ -157,8 +177,6 @@ _POOL_INDEX: Optional["SimilarityIndex"] = None
 
 def _query_pool_init(payload: bytes) -> None:
     global _POOL_INDEX
-    import pickle
-
     _POOL_INDEX = pickle.loads(payload)
 
 
@@ -185,6 +203,15 @@ def _query_pool_chunk(chunk, excludes):
 def _signature_block_worker(minhasher: MinHasher, records: List[Record]) -> np.ndarray:
     """Compute the MinHash signatures of a record shard (build-time worker)."""
     return minhasher.signatures(records).matrix
+
+
+def _reserve(array: np.ndarray, length: int) -> np.ndarray:
+    """``array``, or a copy with capacity doubled until ``length`` rows fit."""
+    if length <= array.shape[0]:
+        return array
+    grown = np.zeros((max(2 * array.shape[0], length),) + array.shape[1:], dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 class _PostingLists:
@@ -224,33 +251,22 @@ class _PostingLists:
         return token in self._lists
 
 
-class _IncrementalSketcher:
-    """Per-record 1-bit minwise sketches, identical to ``build_sketches``.
-
-    Samples the coordinate selection and multiply-shift multipliers once
-    (through the same :func:`repro.hashing.sketch.sample_sketch_hashers` the
-    bulk builder uses) so a record sketched on insert gets exactly the bits
-    a bulk :func:`repro.hashing.sketch.build_sketches` call with the same
-    seed would assign it.
-    """
-
-    def __init__(self, embedding_size: int, num_words: int, seed: Optional[int]) -> None:
-        self.num_words = num_words
-        self.num_bits = num_words * _WORD_BITS
-        self._coordinates, self._multipliers = sample_sketch_hashers(
-            embedding_size, num_words, seed
+def _checked_settings(manifest: object) -> Dict[str, object]:
+    """The constructor settings of a version-3 manifest, or ValueError."""
+    if not isinstance(manifest, dict) or set(manifest) != {"format_version", "records", "settings"}:
+        raise ValueError("manifest is not an object with format_version, records and settings")
+    if manifest["format_version"] != SAVE_FORMAT_VERSION:
+        raise ValueError(
+            f"format version {manifest['format_version']!r} is not the supported "
+            f"version {SAVE_FORMAT_VERSION}"
         )
-
-    def sketch_rows(self, signatures: np.ndarray) -> np.ndarray:
-        """Pack the sketch words of a ``(n, t)`` signature block in one call.
-
-        The bits are identical to sketching each row individually.
-        """
-        return pack_sketch_rows(signatures, self._coordinates, self._multipliers, self.num_words)
-
-    def sketch_row(self, signature: np.ndarray) -> np.ndarray:
-        """Pack the sketch words of one length-``t`` signature row."""
-        return self.sketch_rows(signature[np.newaxis, :])[0]
+    records, settings = manifest["records"], manifest["settings"]
+    if isinstance(records, bool) or not isinstance(records, int) or records < 0:
+        raise ValueError(f"record count {records!r} is not a non-negative integer")
+    known = set(inspect.signature(SimilarityIndex).parameters)
+    if not isinstance(settings, dict) or not set(settings) <= known:
+        raise ValueError(f"settings {settings!r} hold keys that are no constructor arguments")
+    return dict(settings)
 
 
 class SimilarityIndex:
@@ -286,7 +302,8 @@ class SimilarityIndex:
         the approximate modes.
     seed:
         Seed for all hashing (sketches and the approximate candidate
-        structures).  Incremental growth is deterministic for a fixed seed.
+        structures).  ``None`` draws a 63-bit seed once, kept in
+        :attr:`seed`, so a saved index rebuilds bit-for-bit.
     batch_size:
         Queries per internal batch of :meth:`query_batch` (memory bound).
     workers:
@@ -338,6 +355,7 @@ class SimilarityIndex:
         executor_name = "threads" if executor is None else str(executor).lower()
         if executor_name not in EXECUTOR_NAMES:
             raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_NAMES}")
+        seed = int(np.random.default_rng().integers(2**63)) if seed is None else operator.index(seed)
         self.threshold = threshold
         self.candidates = candidates
         self.backend = backend_name
@@ -358,6 +376,16 @@ class SimilarityIndex:
         self.batch_size = batch_size
         self.workers = workers
         self.executor = executor_name
+        # The structure settings without a public attribute, kept for save().
+        self._structure_settings = {
+            "embedding_size": embedding_size,
+            "sketch_words": sketch_words,
+            "sketch_false_negative_rate": sketch_false_negative_rate,
+            "chosen_path_depth": chosen_path_depth,
+            "chosen_path_repetitions": chosen_path_repetitions,
+            "lsh_bands": lsh_bands,
+            "lsh_rows": lsh_rows,
+        }
         # Lazily created process pool for parallel query batches: kept alive
         # across calls while (executor, workers, record count) are unchanged,
         # so repeated batches don't re-pickle the index or re-fork workers.
@@ -381,13 +409,12 @@ class SimilarityIndex:
 
         # Sketch substrate (shared by every candidate mode when enabled).
         self._minhasher: Optional[MinHasher] = None
-        self._sketcher: Optional[_IncrementalSketcher] = None
+        self._sketch_hashers: Optional[tuple] = None
         self._sketch_words_array: Optional[np.ndarray] = None
         self._sketch_cutoff = 0.0
         if self.use_sketches:
             self._minhasher = MinHasher(num_functions=embedding_size, seed=seed)
-            sketch_seed = None if seed is None else seed + 0x5EED
-            self._sketcher = _IncrementalSketcher(embedding_size, sketch_words, sketch_seed)
+            self._sketch_hashers = sample_sketch_hashers(embedding_size, sketch_words, seed + 0x5EED)
             self._sketch_words_array = np.zeros((16, sketch_words), dtype=np.uint64)
             self._sketch_cutoff = sketch_similarity_threshold(
                 self._embedded_threshold, sketch_words * _WORD_BITS, sketch_false_negative_rate
@@ -444,53 +471,39 @@ class SimilarityIndex:
         Amortized O(|record|) plus the candidate-structure insertion; no part
         of the existing index is rebuilt.
         """
-        started = time.perf_counter()
-        with span("index.insert"):
-            normalized = normalized_tokens(record, "index")
-            record_id = self._insert_normalized(normalized, None)
-        elapsed = time.perf_counter() - started
-        self.stats.index_build_seconds += elapsed
-        self.stats.num_records = len(self._records)
-        registry = active_metrics()
-        if registry is not None:
-            registry.histogram(
-                "repro_index_insert_seconds", "Latency of single-record index inserts."
-            ).observe(elapsed)
-        return record_id
+        return self._timed_insert(
+            [record], span("index.insert"),
+            "repro_index_insert_seconds", "Latency of single-record index inserts.",
+        )[0]
 
     def insert_all(self, records: Sequence[Sequence[int]]) -> List[int]:
         """Insert many records; returns their ids.
 
-        When the sketch filter is enabled the whole block's signatures come
-        from one MinHash kernel call per worker shard and its sketches from
-        one :func:`pack_sketch_rows` call (identical bits to per-record
-        sketching).  A token outside ``[0, 2**32)`` then fails the whole call
-        with :class:`ValueError` before any record is inserted.
+        The whole block is hashed at once: its MinHash signatures come from
+        one kernel call per worker shard, its sketches from one
+        :func:`pack_sketch_rows` call and its LSH band keys from one more
+        signature call.  A token outside ``[0, 2**32)`` then fails the whole
+        call with :class:`ValueError` before any record is inserted.
         """
-        if not self.use_sketches:
-            return [self.insert(record) for record in records]
+        return self._timed_insert(
+            records, span("index.build", records=len(records)),
+            "repro_index_build_seconds", "Latency of bulk index builds (insert_all).",
+        )
+
+    def _timed_insert(
+        self, records: Sequence[Sequence[int]], insert_span, histogram: str, description: str
+    ) -> List[int]:
+        """Normalize and insert a block under a span, accounting its build time."""
         started = time.perf_counter()
-        with span("index.build", records=len(records)):
-            normalized_list: List[Record] = [
-                normalized_tokens(record, "index") for record in records
-            ]
-            ids: List[int] = []
-            if normalized_list:
-                assert self._minhasher is not None and self._sketcher is not None
-                signatures = self._signature_block(normalized_list)
-                rows = self._sketcher.sketch_rows(signatures)
-                ids = [
-                    self._insert_normalized(normalized, rows[position])
-                    for position, normalized in enumerate(normalized_list)
-                ]
+        with insert_span:
+            block = [normalized_tokens(record, "index") for record in records]
+            ids = self._insert_block(block) if block else []
         elapsed = time.perf_counter() - started
         self.stats.index_build_seconds += elapsed
         self.stats.num_records = len(self._records)
         registry = active_metrics()
         if registry is not None:
-            registry.histogram(
-                "repro_index_build_seconds", "Latency of bulk index builds (insert_all)."
-            ).observe(elapsed)
+            registry.histogram(histogram, description).observe(elapsed)
         return ids
 
     _PARALLEL_BUILD_MINIMUM = 512
@@ -532,81 +545,52 @@ class SimilarityIndex:
             blocks = [future.result() for future in futures]
         return np.concatenate(blocks, axis=0)
 
-    def _insert_normalized(self, normalized: Record, sketch_row: Optional[np.ndarray]) -> int:
-        """Append one normalized record to every storage structure (untimed).
+    def _insert_block(self, block: List[Record]) -> List[int]:
+        """Append a non-empty block of normalized records to every structure (untimed).
 
-        Hashing is the only step that can fail (a token outside
+        Hashing is the only step that can fail (a MinHash token outside
         ``[0, 2**32)`` raises :class:`ValueError`), so it runs before any
         structure is touched and a failure leaves the index exactly as it
-        was: first the sketch row, then the candidate structure, whose
-        approximate variants hash the record as well and insert atomically.
+        was: first the sketch rows, then the candidate structure, whose LSH
+        variant hashes the whole block before it touches a bucket.
         """
-        if self.use_sketches and sketch_row is None:
-            assert self._minhasher is not None and self._sketcher is not None
-            sketch_row = self._sketcher.sketch_row(self._minhasher.signature(normalized))
-        record_id = len(self._records)
+        rows = self._sketch_rows(self._signature_block(block)) if self.use_sketches else None
+        first = len(self._records)
         if self.candidates == "exact":
             postings = self._postings
-            for token in normalized:
-                postings.append(token, record_id)
+            for record_id, normalized in enumerate(block, first):
+                for token in normalized:
+                    postings.append(token, record_id)
         elif self.candidates == "chosenpath":
-            self._chosen_path.insert(normalized)
+            self._chosen_path.insert_all(block)
         else:
-            self._lsh.insert(normalized)
+            self._lsh.insert_all(block)
 
-        self._records.append(normalized)
-        self._sizes = self._append_scalar(self._sizes, record_id, len(normalized))
+        self._records.extend(block)
+        total = len(self._records)
+        sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        self._sizes = _reserve(self._sizes, total)
+        self._sizes[first:total] = sizes
+        self._offsets = _reserve(self._offsets, total + 1)
+        start = int(self._offsets[first])
+        np.cumsum(sizes, out=self._offsets[first + 1 : total + 1])
+        self._offsets[first + 1 : total + 1] += start
+        end = int(self._offsets[total])
+        self._values = _reserve(self._values, end)
+        self._values[start:end] = np.fromiter(
+            chain.from_iterable(block), dtype=np.int64, count=end - start
+        )
         if self._measure_sizes is not None:
-            self._measure_sizes = self._append_scalar(
-                self._measure_sizes, record_id, self.measure.record_size(normalized)
-            )
-        self._append_tokens(record_id, normalized)
-        if self.use_sketches:
-            self._sketch_words_array = self._append_row(
-                self._sketch_words_array, record_id, sketch_row
-            )
-        return record_id
-
-    @staticmethod
-    def _append_scalar(array: np.ndarray, position: int, value: int) -> np.ndarray:
-        if position >= array.shape[0]:
-            grown = np.zeros(max(2 * array.shape[0], position + 1), dtype=array.dtype)
-            grown[: array.shape[0]] = array
-            array = grown
-        array[position] = value
-        return array
-
-    @staticmethod
-    def _append_row(array: np.ndarray, position: int, row: np.ndarray) -> np.ndarray:
-        if position >= array.shape[0]:
-            grown = np.zeros(
-                (max(2 * array.shape[0], position + 1), array.shape[1]), dtype=array.dtype
-            )
-            grown[: array.shape[0]] = array
-            array = grown
-        array[position] = row
-        return array
-
-    def _append_tokens(self, record_id: int, tokens: Record) -> None:
-        if record_id + 1 >= self._offsets.shape[0]:
-            grown = np.zeros(2 * self._offsets.shape[0], dtype=np.int64)
-            grown[: self._offsets.shape[0]] = self._offsets
-            self._offsets = grown
-        start = int(self._offsets[record_id])
-        end = start + len(tokens)
-        if end > self._values.shape[0]:
-            grown = np.zeros(max(2 * self._values.shape[0], end), dtype=np.int64)
-            grown[: self._values.shape[0]] = self._values
-            self._values = grown
-        self._values[start:end] = tokens
-        if self._value_weights is not None:
-            if end > self._value_weights.shape[0]:
-                grown_weights = np.zeros(self._values.shape[0], dtype=np.float64)
-                grown_weights[: self._value_weights.shape[0]] = self._value_weights
-                self._value_weights = grown_weights
-            token_weight = self.measure.token_weight
-            self._value_weights[start:end] = [token_weight(token) for token in tokens]
-        self._offsets[record_id + 1] = end
+            self._measure_sizes = _reserve(self._measure_sizes, total)
+            self._measure_sizes[first:total] = [
+                self.measure.record_size(normalized) for normalized in block
+            ]
+            self._value_weights = _reserve(self._value_weights, end)
+            self._value_weights[start:end] = self.measure.value_weights(self._values[start:end])
+        if rows is not None:
+            self._sketch_words_array = _reserve(self._sketch_words_array, total)
+            self._sketch_words_array[first:total] = rows
+        return list(range(first, total))
 
     # ------------------------------------------------------------------ queries
     def query(self, record: Sequence[int], exclude: Optional[int] = None) -> List[Match]:
@@ -739,8 +723,6 @@ class SimilarityIndex:
         if self._query_pool is not None and self._query_pool_key == key:
             return self._query_pool
         self.close()
-        import pickle
-
         self._query_pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=process_pool_context(),
@@ -808,9 +790,7 @@ class SimilarityIndex:
     def _normalize_query(record: Sequence[int]) -> Record:
         return normalized_tokens(record, "query with")
 
-    def _sketch_block(
-        self, normalized_chunk: List[Record], stats: Optional[JoinStats] = None
-    ) -> Optional[np.ndarray]:
+    def _sketch_block(self, normalized_chunk: List[Record], stats: JoinStats) -> Optional[np.ndarray]:
         """Vectorized query sketches for one chunk (None when sketches are off).
 
         Counted as filter-stage time: the sketches exist only to feed the
@@ -818,13 +798,19 @@ class SimilarityIndex:
         """
         if not self.use_sketches or not normalized_chunk:
             return None
-        stats = stats if stats is not None else self.stats
-        assert self._minhasher is not None and self._sketcher is not None
+        assert self._minhasher is not None
         started = time.perf_counter()
-        signatures = _signature_block_worker(self._minhasher, list(normalized_chunk))
-        block = self._sketcher.sketch_rows(signatures)
+        block = self._sketch_rows(_signature_block_worker(self._minhasher, list(normalized_chunk)))
         stats.filter_seconds += time.perf_counter() - started
         return block
+
+    def _sketch_rows(self, signatures: np.ndarray) -> np.ndarray:
+        """1-bit sketch words of a signature block: the bits ``build_sketches``
+        assigns with the same seed, whatever block a record arrives in."""
+        coordinates, multipliers = self._sketch_hashers
+        return pack_sketch_rows(
+            signatures, coordinates, multipliers, self._sketch_words_array.shape[1]
+        )
 
     def _measure_size_of(self, normalized: Record):
         """Measure size of a query record (token count, or summed weights)."""
@@ -840,11 +826,10 @@ class SimilarityIndex:
 
     def _filter_candidates(
         self,
-        normalized: Record,
         query_msize,
         candidate_ids: np.ndarray,
         query_words: Optional[np.ndarray],
-        stats: Optional[JoinStats] = None,
+        stats: JoinStats,
     ) -> np.ndarray:
         """SketchFilterStage: size probe plus optional 1-bit sketch filter.
 
@@ -857,18 +842,16 @@ class SimilarityIndex:
         :func:`repro.backend.kernels.sketch_estimates` kernel, and updates
         the filter timing and candidate/verified counters.
         """
-        stats = stats if stats is not None else self.stats
         started = time.perf_counter()
         passing = self.measure.size_compatible(
             query_msize, self._candidate_measure_sizes(candidate_ids), self.threshold
         )
         if self.use_sketches and passing.any():
-            if query_words is None:
-                assert self._minhasher is not None and self._sketcher is not None
-                query_words = self._sketcher.sketch_row(self._minhasher.signature(normalized))
             surviving = candidate_ids[passing]
             estimates = sketch_estimates(
-                query_words, self._sketch_words_array[surviving], self._sketcher.num_bits
+                query_words,
+                self._sketch_words_array[surviving],
+                self._sketch_words_array.shape[1] * _WORD_BITS,
             )
             passing[passing] = estimates >= self._sketch_cutoff
         stats.filter_seconds += time.perf_counter() - started
@@ -881,10 +864,9 @@ class SimilarityIndex:
         self,
         normalized: Record,
         exclude: Optional[int],
-        query_words: Optional[np.ndarray] = None,
-        stats: Optional[JoinStats] = None,
+        query_words: Optional[np.ndarray],
+        stats: JoinStats,
     ) -> List[Match]:
-        stats = stats if stats is not None else self.stats
         stats.extra["queries"] = stats.extra.get("queries", 0.0) + 1.0
         if self.candidates == "exact" and self.backend == "numpy":
             return self._query_one_scancount(normalized, exclude, query_words, stats)
@@ -901,7 +883,7 @@ class SimilarityIndex:
 
         query_msize = self._measure_size_of(normalized)
         candidate_ids = candidate_ids[
-            self._filter_candidates(normalized, query_msize, candidate_ids, query_words, stats)
+            self._filter_candidates(query_msize, candidate_ids, query_words, stats)
         ]
         if candidate_ids.size == 0:
             return []
@@ -916,8 +898,8 @@ class SimilarityIndex:
         self,
         normalized: Record,
         exclude: Optional[int],
-        query_words: Optional[np.ndarray] = None,
-        stats: Optional[JoinStats] = None,
+        query_words: Optional[np.ndarray],
+        stats: JoinStats,
     ) -> List[Match]:
         """Fused exact query for the numpy backend (ScanCount).
 
@@ -932,8 +914,6 @@ class SimilarityIndex:
         :meth:`_filter_candidates` stage, and every filter survivor counts
         as verified.
         """
-        stats = stats if stats is not None else self.stats
-
         # Candidate stage: merged postings -> per-record overlap counts.
         started = time.perf_counter()
         hits = self._gather_postings(normalized)
@@ -985,7 +965,7 @@ class SimilarityIndex:
             return []
 
         query_msize = self._measure_size_of(normalized)
-        mask = self._filter_candidates(normalized, query_msize, candidate_ids, query_words, stats)
+        mask = self._filter_candidates(query_msize, candidate_ids, query_words, stats)
         candidate_ids, overlaps = candidate_ids[mask], overlaps[mask]
         if candidate_ids.size == 0:
             return []
@@ -1074,26 +1054,43 @@ class SimilarityIndex:
 
     # ------------------------------------------------------------------ persistence
     def save(self, path: Union[str, Path]) -> Path:
-        """Write the index to ``path`` in the versioned on-disk format.
+        """Write the index's settings and records to ``path`` (format version 3).
 
-        The file starts with a magic header plus a format version, so
-        :meth:`load` can tell a saved index from an arbitrary pickle before
-        unpickling anything, and refuses files written by a *newer* format
-        with a clear error instead of failing somewhere inside pickle.
+        One ``np.savez`` archive holding ``manifest`` (UTF-8 JSON as
+        ``uint8``: the format version, every constructor keyword with the
+        resolved seed and the measure name, and the record count), the
+        ``token_values`` / ``token_offsets`` CSR arrays of the records, and
+        for a weighted measure its ``weight_tokens`` / ``weight_values``.
+        Statistics are not saved.
 
         The write is atomic (staging file + rename, flushed to stable
         storage first): a crash mid-save can never destroy an existing file
         at ``path`` — which is exactly the situation of ``index query
         --insert`` rewriting the only copy, and of the server's snapshots.
         """
-        import os
-
         path = Path(path)
+        count = len(self._records)
+        manifest = {
+            "format_version": SAVE_FORMAT_VERSION,
+            "records": count,
+            "settings": {
+                **{name: getattr(self, name) for name in _ATTRIBUTE_SETTINGS},
+                "measure": self.measure.name,
+                **self._structure_settings,
+            },
+        }
+        arrays = {
+            "manifest": np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8),
+            "token_values": self._values[: self._offsets[count]],
+            "token_offsets": self._offsets[: count + 1],
+        }
+        if self.measure.weighted:
+            weights = sorted(self.measure.weights.items())
+            arrays["weight_tokens"] = np.array([token for token, _ in weights], dtype=np.int64)
+            arrays["weight_values"] = np.array([value for _, value in weights], dtype=np.float64)
         staging = path.with_name(path.name + ".tmp")
-        with open(staging, "wb") as handle:
-            handle.write(_SAVE_MAGIC)
-            handle.write(struct.pack(">I", SAVE_FORMAT_VERSION))
-            pickle.dump(self, handle)
+        with open(staging, "wb") as handle:  # a handle: numpy appends no ".npz"
+            np.savez(handle, **arrays)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(staging, path)
@@ -1101,51 +1098,54 @@ class SimilarityIndex:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SimilarityIndex":
-        """Load an index written by :meth:`save`.
+        """Rebuild an index from a file written by :meth:`save`.
 
-        Bare pickles written before the versioned format existed (the old
-        CLI ``index build`` output) still load through a fallback path;
-        anything else — a pickle of some other object, a truncated header, a
-        format version from a newer release — raises
-        :class:`IndexPersistenceError` naming the problem.
+        The archive is opened with ``allow_pickle=False`` and validated —
+        exact member set, dtypes, 1-D shapes, CSR offsets, manifest keys and
+        version — before :meth:`build` replays the records under the saved
+        settings.  Every failure, including a setting the constructor
+        rejects, raises :class:`IndexPersistenceError` naming the path.
+        Pickle files of formats 1 and 2 are refused without unpickling.
         """
         path = Path(path)
-        with open(path, "rb") as handle:
-            header = handle.read(len(_SAVE_MAGIC))
-            if header == _SAVE_MAGIC:
-                version_bytes = handle.read(4)
-                if len(version_bytes) != 4:
-                    raise IndexPersistenceError(
-                        f"{path}: truncated index header (missing format version)"
+        try:
+            with open(path, "rb") as handle:
+                header = handle.read(len(_SAVE_MAGIC))
+                if header == _SAVE_MAGIC or header[:1] == b"\x80":
+                    raise ValueError(
+                        "a pickle-based index file of an older release; "
+                        "rebuild it with `repro-join index build`"
                     )
-                version = struct.unpack(">I", version_bytes)[0]
-                if version > SAVE_FORMAT_VERSION:
-                    raise IndexPersistenceError(
-                        f"{path}: index format version {version} is newer than the "
-                        f"supported version {SAVE_FORMAT_VERSION}; "
-                        "load it with a matching release of this library"
-                    )
-                try:
-                    index = pickle.load(handle)
-                except Exception as error:
-                    raise IndexPersistenceError(
-                        f"{path}: corrupt index payload ({error})"
-                    ) from error
-            else:
-                # Fallback: a bare pickle from before the versioned format.
                 handle.seek(0)
-                try:
-                    index = pickle.load(handle)
-                except Exception as error:
-                    raise IndexPersistenceError(
-                        f"{path}: not a saved SimilarityIndex (bad magic and "
-                        f"not a loadable legacy pickle: {error})"
-                    ) from error
-        if not isinstance(index, cls):
-            raise IndexPersistenceError(
-                f"{path}: contains {type(index).__name__}, not a SimilarityIndex"
-            )
-        return index
+                with np.load(handle, allow_pickle=False) as archive:
+                    arrays = {name: archive[name] for name in archive.files}
+            expected = {**_RECORD_MEMBERS, **(_WEIGHT_MEMBERS if len(arrays) > 3 else {})}
+            if set(arrays) != set(expected) or any(
+                arrays[name].dtype != dtype or arrays[name].ndim != 1
+                for name, dtype in expected.items()
+            ):
+                raise ValueError(
+                    f"members {sorted(arrays)} are not the 1-D arrays "
+                    f"{ {name: np.dtype(dtype).name for name, dtype in expected.items()} }"
+                )
+            manifest = json.loads(arrays["manifest"].tobytes().decode("utf-8"))
+            settings = _checked_settings(manifest)
+            values, offsets = arrays["token_values"], arrays["token_offsets"]
+            if (
+                offsets.shape[0] != manifest["records"] + 1
+                or offsets[0] != 0
+                or np.any(np.diff(offsets) <= 0)
+                or offsets[-1] != values.shape[0]
+            ):
+                raise ValueError("token offsets are not a valid CSR index")
+            if "weight_tokens" in arrays:
+                weights = zip(arrays["weight_tokens"].tolist(), arrays["weight_values"].tolist())
+                settings["measure"] = get_measure(settings["measure"], weights=dict(weights))
+            tokens, bounds = values.tolist(), offsets.tolist()
+            records = [tuple(tokens[low:high]) for low, high in zip(bounds, bounds[1:])]
+            return cls.build(records, **settings)
+        except Exception as error:
+            raise IndexPersistenceError(f"{path}: not a saved SimilarityIndex ({error})") from error
 
     # ------------------------------------------------------------------ introspection
     def __getstate__(self) -> dict:
@@ -1155,23 +1155,6 @@ class SimilarityIndex:
         state["_query_pool"] = None
         state["_query_pool_key"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Indexes pickled before the executor refactor carry no worker
-        # settings; default them so old pickles keep loading.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("workers", 1)
-        self.__dict__.setdefault("executor", "threads")
-        self.__dict__.setdefault("_query_pool", None)
-        self.__dict__.setdefault("_query_pool_key", None)
-        # Version-1 indexes predate the measure abstraction: they were
-        # always plain Jaccard, with the embedded threshold equal to the
-        # query threshold and no weighted storage.
-        if "measure" not in self.__dict__:
-            self.measure = get_measure(None)
-        self.__dict__.setdefault("_embedded_threshold", self.threshold)
-        self.__dict__.setdefault("_measure_sizes", None)
-        self.__dict__.setdefault("_value_weights", None)
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self._records)

@@ -7,12 +7,14 @@ persistence story here is the classic snapshot + write-ahead-log pair:
 * every accepted insert is appended to a JSON-lines **WAL** (one
   ``{"id": record_id, "tokens": [...]}`` object per line, flushed — and by
   default fsynced — before the insert is acknowledged), and
-* periodically the whole index is written as a versioned **snapshot**
-  (:meth:`repro.index.SimilarityIndex.save` through an atomic
-  temp-file-then-rename), after which the WAL is truncated.
+* periodically the index is written as a **snapshot** of its settings and
+  records (:meth:`repro.index.SimilarityIndex.save`: a pickle-free archive,
+  through an atomic temp-file-then-rename), after which the WAL is
+  truncated.
 
-On restart :meth:`PersistentIndexStore.load` loads the newest snapshot (or
-builds a fresh index when none exists) and replays the WAL on top.  Replay
+On restart :meth:`PersistentIndexStore.load` rebuilds the index from the
+newest snapshot (or builds a fresh one when none exists) and replays the
+WAL on top.  Replay
 is idempotent by record id: entries whose id is already covered by the
 snapshot are skipped, so a crash *between* snapshot rename and WAL truncate
 cannot double-insert; an id gap, which can only mean a lost or reordered
@@ -20,8 +22,10 @@ entry, is refused loudly.  A torn final line (the crash hit mid-append) is
 tolerated and dropped — it was never acknowledged.
 
 Inserts are logged with their raw token payloads; the index normalizes them
-(sorted, deduplicated) identically on the live path and on replay, so a
-replayed index is bit-for-bit the pre-crash one.
+(sorted, deduplicated) identically on the live path and on replay.  An index
+is a pure function of its settings and its records in order — queries change
+no structure, in every candidate mode — so a recovered index is bit-for-bit
+the pre-crash one.
 """
 
 from __future__ import annotations
@@ -144,7 +148,7 @@ class PersistentIndexStore:
     Layout::
 
         <directory>/
-            snapshot.idx    # versioned SimilarityIndex.save() output
+            snapshot.idx    # SimilarityIndex.save() output: settings + records
             snapshot.idx.tmp# staging file (atomically renamed over the above)
             wal.jsonl       # inserts since snapshot.idx was written
             lock            # advisory single-owner lock

@@ -69,7 +69,7 @@ class TestQueryTopk:
 
 class TestMeasurePersistence:
     def test_format_version_bumped(self) -> None:
-        assert SAVE_FORMAT_VERSION == 2
+        assert SAVE_FORMAT_VERSION == 3
 
     def test_measure_survives_save_load(self, tmp_path) -> None:
         records = make_records(seed=31)
@@ -93,20 +93,6 @@ class TestMeasurePersistence:
         assert clone.measure.weighted
         for query_id in range(0, len(records), 6):
             assert clone.query(records[query_id]) == index.query(records[query_id])
-
-    def test_legacy_state_defaults_to_jaccard(self) -> None:
-        # A version-1 pickle carries no measure state; __setstate__ must
-        # default it to the plain Jaccard measure with identity embedding.
-        index = SimilarityIndex.build(make_records(seed=51), 0.5)
-        state = index.__getstate__()
-        for key in ("measure", "_embedded_threshold", "_measure_sizes", "_value_weights"):
-            state.pop(key, None)
-        revived = SimilarityIndex.__new__(SimilarityIndex)
-        revived.__setstate__(state)
-        assert revived.measure.name == "jaccard"
-        assert revived._embedded_threshold == revived.threshold
-        query = make_records(seed=51)[0]
-        assert revived.query(query) == index.query(query)
 
 
 class TestMeasureGating:

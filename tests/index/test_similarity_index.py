@@ -105,9 +105,9 @@ class TestBasicSemantics:
         assert index.insert((1, 2, 3, 4)) == len(tiny_records)  # ids still contiguous
         assert index.query((1, 2, 3, 4), exclude=0)[0] == (len(tiny_records), 1.0)
 
-    def test_chosen_path_without_sketches_masks_negative_tokens(self) -> None:
-        # No MinHash runs here; the tree hashes keep the low 32 bits of every
-        # token, negative ones included, as the scalar hash does.
+    def test_chosen_path_without_sketches_accepts_negative_tokens(self) -> None:
+        # No MinHash runs here; the tree hashes take any int64 token,
+        # negative ones included.
         index = SimilarityIndex(0.5, candidates="chosenpath", use_sketches=False, seed=5)
         assert index.insert((-3, 1, 2)) == 0
         assert index.query((-3, 1, 2))[0] == (0, 1.0)
@@ -249,25 +249,49 @@ class TestApproximateModes:
         assert index.stats.filter_seconds >= 0.0
 
 
+class TestHistoryFree:
+    """An index is a pure function of its settings and its records in order."""
+
+    @pytest.mark.parametrize("mode", ["exact", "chosenpath", "lsh"])
+    def test_grown_with_interleaved_queries_equals_one_shot_build(
+        self, random_records, mode
+    ) -> None:
+        first, later = random_records[:130], random_records[130:]
+        # Queries of records the collection never holds, in another order.
+        others = [tuple(token ^ 1 for token in record) for record in reversed(random_records)]
+        grown = SimilarityIndex.build(first, 0.5, candidates=mode, seed=7)
+        grown.query_batch(others)
+        for record, other in zip(later, others):
+            grown.query(other)
+            grown.insert(record)
+        one_shot = SimilarityIndex.build(random_records, 0.5, candidates=mode, seed=7)
+        for record in random_records:
+            assert np.array_equal(grown._candidate_ids(record), one_shot._candidate_ids(record))
+        assert grown.query_batch(random_records) == one_shot.query_batch(random_records)
+
+    def test_queries_leave_the_chosen_path_forest_unchanged(self, random_records) -> None:
+        index = SimilarityIndex.build(random_records[:100], 0.5, candidates="chosenpath", seed=7)
+        before = pickle.dumps(index._chosen_path)
+        index.query_batch(random_records)
+        assert pickle.dumps(index._chosen_path) == before
+
+
 class TestSketchParity:
     def test_incremental_sketches_match_bulk_build(self, random_records) -> None:
         """The index's per-record sketches are bit-identical to build_sketches."""
         from repro.hashing.minhash import MinHasher
         from repro.hashing.sketch import build_sketches
-        from repro.index.similarity_index import _IncrementalSketcher
 
         records = random_records[:40]
-        minhasher = MinHasher(num_functions=64, seed=123)
-        signatures = minhasher.signatures(records)
-        bulk = build_sketches(signatures.matrix, num_words=4, seed=456)
-        sketcher = _IncrementalSketcher(64, 4, 456)
-        import numpy as np
-
-        assert np.array_equal(sketcher.sketch_rows(signatures.matrix), bulk.words)
-        for row_index in (0, 17, 39):
-            assert np.array_equal(
-                sketcher.sketch_row(signatures.matrix[row_index]), bulk.words[row_index]
-            )
+        signatures = MinHasher(num_functions=64, seed=123).signatures(records)
+        bulk = build_sketches(signatures.matrix, num_words=4, seed=123 + 0x5EED)
+        options = dict(use_sketches=True, embedding_size=64, sketch_words=4, seed=123)
+        one_shot = SimilarityIndex.build(records, 0.5, **options)
+        grown = SimilarityIndex.build(records[:17], 0.5, **options)
+        for record in records[17:]:
+            grown.insert(record)
+        assert np.array_equal(one_shot._sketch_words_array[:40], bulk.words)
+        assert np.array_equal(grown._sketch_words_array[:40], bulk.words)
 
 
 class TestPersistence:

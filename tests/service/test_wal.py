@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.index import SimilarityIndex
@@ -221,3 +222,34 @@ class TestPersistentIndexStore:
         recovered, _ = recovered_store.load(make_index)
         assert recovered.query_batch(probes) == expected
         recovered_store.close()
+
+    def test_chosenpath_restart_answers_like_an_offline_build(self, tmp_path) -> None:
+        # Queries between the snapshot and later inserts must not change
+        # what the recovered chosenpath index answers: recovery (snapshot
+        # rebuild + WAL replay) and an offline one-shot build agree.
+        rng = np.random.default_rng(11)
+        records = [
+            tuple(sorted(rng.choice(200, size=int(rng.integers(4, 12)), replace=False).tolist()))
+            for _ in range(90)
+        ]
+        base, later = records[:60], records[60:]
+
+        def factory() -> SimilarityIndex:
+            return SimilarityIndex.build(base, 0.5, candidates="chosenpath", seed=5)
+
+        store = PersistentIndexStore(tmp_path / "state", sync=False)
+        index, _ = store.load(factory)
+        store.snapshot(index)
+        index.query_batch(later)  # queries of records the index does not hold yet
+        for record in later:
+            store.log_insert(index.insert(record), record)
+            index.query(record)
+        served = index.query_batch(records)
+        store.close()
+
+        recovered_store = PersistentIndexStore(tmp_path / "state", sync=False)
+        recovered, replayed = recovered_store.load(factory)
+        recovered_store.close()
+        offline = SimilarityIndex.build(records, 0.5, candidates="chosenpath", seed=5)
+        assert replayed == len(later)
+        assert recovered.query_batch(records) == served == offline.query_batch(records)

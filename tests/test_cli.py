@@ -130,7 +130,7 @@ class TestIndexCommand:
             build_parser().parse_args(["index"])
 
     def test_build_then_query(self, dataset_file, tmp_path, capsys) -> None:
-        index_path = tmp_path / "data.index.pkl"
+        index_path = tmp_path / "data.index.idx"
         exit_code = main(
             [
                 "index",
@@ -160,7 +160,7 @@ class TestIndexCommand:
         assert "\n1," not in text  # query 1 matches nothing
 
     def test_query_with_insert_grows_index(self, dataset_file, tmp_path, capsys) -> None:
-        index_path = tmp_path / "data.index.pkl"
+        index_path = tmp_path / "data.index.idx"
         main(["index", "build", str(dataset_file), "--out", str(index_path)])
         queries = tmp_path / "queries.txt"
         write_dataset(Dataset([[100, 101, 102], [100, 101, 102, 103]], name="cliq"), queries)
@@ -185,18 +185,23 @@ class TestIndexCommand:
     def test_build_candidates_choice_restricted(self, dataset_file, tmp_path) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["index", "build", str(dataset_file), "--out", "x.pkl", "--candidates", "magic"]
+                ["index", "build", str(dataset_file), "--out", "x.idx", "--candidates", "magic"]
             )
 
     def test_build_writes_versioned_format(self, dataset_file, tmp_path) -> None:
-        from repro.index.similarity_index import _SAVE_MAGIC
+        import json
+
+        import numpy as np
 
         index_path = tmp_path / "data.idx"
         main(["index", "build", str(dataset_file), "--out", str(index_path)])
-        assert index_path.read_bytes().startswith(_SAVE_MAGIC)
+        with np.load(index_path, allow_pickle=False) as archive:
+            manifest = json.loads(archive["manifest"].tobytes().decode("utf-8"))
+        assert manifest["format_version"] == 3
+        assert manifest["records"] == 5
 
-    def test_query_loads_legacy_bare_pickle(self, dataset_file, tmp_path, capsys) -> None:
-        # Index files written before the versioned format must keep working.
+    def test_query_refuses_legacy_pickle_with_rebuild_hint(self, dataset_file, tmp_path) -> None:
+        # Index files of the old pickle formats are refused, never unpickled.
         import pickle
 
         from repro.datasets.io import read_dataset
@@ -205,11 +210,8 @@ class TestIndexCommand:
         legacy = tmp_path / "legacy.pkl"
         index = SimilarityIndex.build(read_dataset(dataset_file).records, 0.5, seed=2)
         legacy.write_bytes(pickle.dumps(index))
-        queries = tmp_path / "queries.txt"
-        write_dataset(Dataset([[1, 2, 3, 4]], name="cliq"), queries)
-        exit_code = main(["index", "query", str(legacy), str(queries), "--out", str(tmp_path / "m.csv")])
-        assert exit_code == 0
-        assert "0,0,1.000000" in (tmp_path / "m.csv").read_text()
+        with pytest.raises(SystemExit, match="repro-join index build"):
+            main(["index", "query", str(legacy), str(dataset_file)])
 
 
 class TestServeCommand:
