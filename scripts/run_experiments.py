@@ -12,6 +12,9 @@ writes
   artifact records the raw row dicts plus the environment (CPU count,
   Python, platform) via :func:`repro.experiments.common.write_bench_json`.
 
+Join and serving speed per layer is measured by the repository benchmark
+(``perfbench/``); ``scripts/bench_ledger.py`` records its rows.
+
 Usage::
 
     python scripts/run_experiments.py --scale 0.3 --out results/experiments.txt
@@ -27,13 +30,9 @@ from pathlib import Path
 from repro.experiments import (
     ablation_sketches,
     ablation_stopping,
-    backend_bench,
     figure2,
     figure3,
-    index_bench,
-    parallel_bench,
     rs_bench,
-    serve_bench,
     table1,
     table2,
     table4,
@@ -74,7 +73,7 @@ def main() -> None:
         print(text)
         sys.stdout.flush()
         output_path.write_text("".join(sections))
-        # name=None: the experiment wrote its own richer artifact already.
+        # name=None: a text-only section (the wall-clock total).
         if name is not None and isinstance(rows, list) and rows:
             write_bench_json(
                 name,
@@ -135,33 +134,9 @@ def main() -> None:
         ablation_sketches.run(scale=args.scale, seed=args.seed),
     )
     section(
-        "Backend micro-benchmark — python vs numpy execution backend",
-        "backend-bench",
-        backend_bench.run(scale=args.scale, seed=args.seed),
-    )
-    section(
         "R ⋈ S benchmark — native side-aware path vs union self-join fallback",
         "rs-bench",
         rs_bench.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "Index benchmark — build-once/query-many vs repeated batch re-join",
-        "index-bench",
-        index_bench.run(scale=args.scale, seed=args.seed),
-    )
-    section(
-        "Parallel benchmark — threads vs shared-memory process executor",
-        None,
-        parallel_bench.run(
-            scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_parallel.json")
-        ),
-    )
-    section(
-        "Serving benchmark — throughput/latency vs query-coalescing settings",
-        None,
-        serve_bench.run(
-            scale=args.scale, seed=args.seed, out_json=str(json_dir / "BENCH_serve.json")
-        ),
     )
     section(
         "Total wall-clock time",

@@ -34,9 +34,9 @@ any Python:
 * ``repro-join stats`` — print the Table I statistics of a dataset file.
 * ``repro-join experiment`` — run one of the paper's experiments by name
   (``table1``, ``table2``, ``figure2``, ``figure3``, ``table4``,
-  ``tokens``, ``ablation-stopping``, ``ablation-sketches``,
-  ``backend-bench``, ``rs-bench``, ``index-bench``, ``parallel-bench``,
-  ``serve-bench``).
+  ``tokens``, ``ablation-stopping``, ``ablation-sketches``, ``rs-bench``).
+  Join and serving timings are the repository benchmark's job
+  (``perfbench/``), not an experiment's.
 
 Examples::
 
@@ -369,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
             "tokens",
             "ablation-stopping",
             "ablation-sketches",
-            "backend-bench",
             "rs-bench",
-            "index-bench",
-            "parallel-bench",
-            "serve-bench",
         ],
     )
     experiment_parser.add_argument("--scale", type=float, default=0.3)
@@ -760,13 +756,9 @@ def _command_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         ablation_sketches,
         ablation_stopping,
-        backend_bench,
         figure2,
         figure3,
-        index_bench,
-        parallel_bench,
         rs_bench,
-        serve_bench,
         table1,
         table2,
         table4,
@@ -793,19 +785,8 @@ def _command_experiment(args: argparse.Namespace) -> int:
         print(format_table(ablation_stopping.run(scale=args.scale, seed=args.seed)))
     elif name == "ablation-sketches":
         print(format_table(ablation_sketches.run(scale=args.scale, seed=args.seed)))
-    elif name == "backend-bench":
-        print(format_table(backend_bench.run(scale=args.scale, seed=args.seed)))
     elif name == "rs-bench":
         print(format_table(rs_bench.run(scale=args.scale, seed=args.seed)))
-    elif name == "index-bench":
-        print(format_table(index_bench.run(scale=args.scale, seed=args.seed)))
-    elif name == "parallel-bench":
-        # Print-only like every other experiment; the JSON artifact is
-        # opt-in via `python -m repro.experiments.parallel_bench --out-json`
-        # or scripts/run_experiments.py.
-        print(format_table(parallel_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
-    elif name == "serve-bench":
-        print(format_table(serve_bench.run(scale=args.scale, seed=args.seed, out_json=None)))
     return 0
 
 
@@ -813,22 +794,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "join":
-        return _command_join(args)
-    if args.command == "index":
-        return _command_index(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "generate":
-        return _command_generate(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    commands = {
+        "join": _command_join,
+        "index": _command_index,
+        "serve": _command_serve,
+        "generate": _command_generate,
+        "stats": _command_stats,
+        "trace": _command_trace,
+        "experiment": _command_experiment,
+    }
+    try:
+        return commands[args.command](args)
+    except ValueError as error:
+        # The library rejects bad settings (a threshold outside (0, 1],
+        # workers < 1, ...) with ValueError: a usage error, not a crash.
+        parser.exit(2, f"{parser.prog} {args.command}: error: {error}\n")
 
 
 if __name__ == "__main__":

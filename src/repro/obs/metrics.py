@@ -89,9 +89,9 @@ def metric_name(raw: str) -> str:
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an already sorted sample.
 
-    The shared helper behind serve-bench's client-side latency columns (the
-    server-side ones come from histogram buckets via
-    :meth:`Histogram.quantile`).  Returns 0.0 for an empty sample.
+    The client-side counterpart of :meth:`Histogram.quantile` (a server's
+    latency percentiles come from its histogram buckets).  Returns 0.0 for
+    an empty sample.
     """
     if not sorted_values:
         return 0.0
@@ -255,7 +255,7 @@ class Histogram:
 
         Linear interpolation inside the containing bucket — the estimate is
         therefore off by at most one bucket width, which is the precision
-        contract the serve-bench comparison tests assert.  Observations in
+        contract the served-latency cross-check test asserts.  Observations in
         the overflow bucket report the last finite boundary (there is no
         upper edge to interpolate toward).
         """

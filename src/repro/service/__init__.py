@@ -20,7 +20,7 @@ lookups and live inserts over the wire, and survives being killed:
   engine thread serializes all index access, a writer queue orders inserts,
   WAL-then-acknowledge makes them durable.
 * :mod:`repro.service.client` — the blocking client used by the tests, the
-  CI smoke leg, ``repro-join experiment serve-bench`` and the examples.
+  CI smoke leg, the ``perfbench`` serve workloads and the examples.
 
 Because coalescing only reschedules work, a server transcript is
 bit-identical to offline ``SimilarityIndex.query_batch`` over the same

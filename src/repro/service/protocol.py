@@ -43,6 +43,7 @@ an offline run bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.similarity_index import TOKEN_INT64_MAX, TOKEN_INT64_MIN
@@ -79,16 +80,30 @@ def encode_message(message: Dict[str, Any]) -> bytes:
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line back into a message dict."""
+    """Parse one wire line back into a message dict.
+
+    Every line that does not decode to a JSON object raises
+    :class:`ProtocolError`: besides invalid UTF-8 and invalid JSON, that
+    covers nesting deeper than the parser's recursion limit and integers
+    beyond Python's digit limit for string conversion.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(f"message of {len(line)} bytes exceeds the {MAX_LINE_BYTES} limit")
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:  # UnicodeDecodeError, JSONDecodeError too
         raise ProtocolError(f"malformed message: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(message).__name__}")
     return message
+
+
+def _brief(value: Any) -> str:
+    """A bounded description of a client value, for an error message."""
+    if isinstance(value, (list, dict)):
+        return f"a JSON {'array' if isinstance(value, list) else 'object'}"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _record_tokens(value: Any, what: str) -> List[int]:
@@ -97,11 +112,11 @@ def _record_tokens(value: Any, what: str) -> List[int]:
     tokens: List[int] = []
     for token in value:
         if isinstance(token, bool) or not isinstance(token, int):
-            raise ProtocolError(f"{what} must contain only integers, got {token!r}")
+            raise ProtocolError(f"{what} must contain only integers, got {_brief(token)}")
         if token < TOKEN_INT64_MIN or token > TOKEN_INT64_MAX:
             # The index's storage bound, rejected at the wire so one bad
             # query can never poison the coalesced batch it would ride in.
-            raise ProtocolError(f"{what} token {token} does not fit 64-bit token storage")
+            raise ProtocolError(f"{what} token {_brief(token)} does not fit 64-bit token storage")
         tokens.append(token)
     return tokens
 
@@ -115,7 +130,7 @@ def parse_request(message: Dict[str, Any]) -> Dict[str, Any]:
     """
     operation = message.get("op")
     if operation not in OPERATIONS:
-        raise ProtocolError(f"unknown operation {operation!r}; expected one of {OPERATIONS}")
+        raise ProtocolError(f"unknown operation {_brief(operation)}; expected one of {OPERATIONS}")
     request_id = message.get("id")
     if request_id is not None and not isinstance(request_id, (int, str)):
         raise ProtocolError("request id must be an integer or a string")
@@ -132,11 +147,18 @@ def parse_request(message: Dict[str, Any]) -> Dict[str, Any]:
                 )
             request["k"] = k
             floor = message.get("floor")
-            if floor is not None and (
-                isinstance(floor, bool) or not isinstance(floor, (int, float))
-            ):
-                raise ProtocolError("'floor' must be a number")
-            request["floor"] = None if floor is None else float(floor)
+            if floor is not None:
+                # NaN would cut nothing and an infinite floor everything:
+                # neither is a similarity.
+                if isinstance(floor, bool) or not isinstance(floor, (int, float)):
+                    raise ProtocolError("'floor' must be a number")
+                try:
+                    floor = float(floor)
+                except OverflowError:  # an integer beyond the float range
+                    floor = math.inf
+                if not math.isfinite(floor):
+                    raise ProtocolError(f"'floor' must be finite, got {floor!r}")
+            request["floor"] = floor
     elif operation == "query_batch":
         records = message.get("records")
         if not isinstance(records, (list, tuple)):

@@ -862,10 +862,10 @@ class ServerHandle:
 def serve_in_thread(server: SimilarityServer, start_timeout: float = 30.0) -> ServerHandle:
     """Run a server on a dedicated thread with its own event loop.
 
-    The embedding entry point used by the tests, the ``serve-bench`` load
-    generator and the live-server mode of ``examples/streaming_dedup.py``:
-    the caller gets a :class:`ServerHandle` once the port is bound and talks
-    to it through :class:`repro.service.client.ServiceClient`.
+    The embedding entry point used by the tests and the live-server mode of
+    ``examples/streaming_dedup.py``: the caller gets a :class:`ServerHandle`
+    once the port is bound and talks to it through
+    :class:`repro.service.client.ServiceClient`.
     """
     ready = threading.Event()
     failures: List[BaseException] = []

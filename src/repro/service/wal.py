@@ -35,7 +35,7 @@ import os
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.index.similarity_index import SimilarityIndex
+from repro.index.similarity_index import TOKEN_INT64_MAX, TOKEN_INT64_MIN, SimilarityIndex
 
 __all__ = ["WalCorruptionError", "WriteAheadLog", "PersistentIndexStore"]
 
@@ -44,6 +44,15 @@ WalEntry = Tuple[int, Tuple[int, ...]]
 
 class WalCorruptionError(ValueError):
     """The write-ahead log is inconsistent beyond a torn final line."""
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer within 64-bit storage (``bool`` is not an integer here)."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and TOKEN_INT64_MIN <= value <= TOKEN_INT64_MAX
+    )
 
 
 class WriteAheadLog:
@@ -120,13 +129,25 @@ class WriteAheadLog:
         for position, raw in enumerate(terminated):
             try:
                 record = json.loads(raw.decode("utf-8"))
-                record_id = int(record["id"])
-                tokens = tuple(int(token) for token in record["tokens"])
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
+            except (ValueError, RecursionError) as error:  # UnicodeDecodeError too
                 raise WalCorruptionError(
                     f"{path}: undecodable WAL entry at line {position + 1}: {error}"
                 ) from error
-            entries.append((record_id, tokens))
+            # Exactly what append() writes: an integer id and a list of
+            # integer tokens within 64-bit storage.  Anything else (a float,
+            # a bool, a digit string) would replay as a different record.
+            record_id = record.get("id") if isinstance(record, dict) else None
+            tokens = record.get("tokens") if isinstance(record, dict) else None
+            if not (
+                _is_int(record_id)
+                and isinstance(tokens, list)
+                and all(_is_int(token) for token in tokens)
+            ):
+                raise WalCorruptionError(
+                    f"{path}: malformed WAL entry at line {position + 1}: expected "
+                    '{"id": <integer>, "tokens": [<64-bit integer>, ...]}'
+                )
+            entries.append((record_id, tuple(tokens)))
             valid_end += len(raw) + 1
         return entries, valid_end
 

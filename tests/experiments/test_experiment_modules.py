@@ -13,7 +13,6 @@ from repro.experiments import (
     ablation_stopping,
     figure2,
     figure3,
-    index_bench,
     rs_bench,
     table1,
     table2,
@@ -137,92 +136,6 @@ class TestRSBench:
         left, right = rs_bench.make_rs_workload(scale=0.05, seed=17)
         planted = max(1, int(len(left) * 0.05))
         assert right[-planted:] == left[:planted]
-
-
-class TestIndexBench:
-    def test_smoke_rows(self) -> None:
-        rows = index_bench.run(
-            scale=0.05, seed=18, num_batches=2, workloads=[("UNIFORM005", 4.0)]
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        # The run itself asserts the baseline pairs are a subset of the
-        # index pairs; the rows must carry the timing comparison.
-        assert row["index_pairs"] >= row["rejoin_pairs"]
-        assert row["index_seconds"] >= 0.0
-        assert row["rejoin_seconds"] >= 0.0
-        assert row["queries_per_second"] > 0.0
-
-
-class TestParallelBench:
-    def test_smoke_rows_and_artifact(self, tmp_path) -> None:
-        from repro.experiments import parallel_bench
-
-        out_json = tmp_path / "BENCH_parallel.json"
-        rows = parallel_bench.run(
-            scale=0.04,
-            seed=19,
-            repetitions=2,
-            trials=1,
-            worker_counts=(1, 2),
-            workloads=[("UNIFORM005", 4.0)],
-            out_json=str(out_json),
-        )
-        # 2 executors x 2 worker counts on one workload.
-        assert len(rows) == 4
-        assert {row["executor"] for row in rows} == {"threads", "processes"}
-        for row in rows:
-            assert row["identical_pairs"] is True
-            assert row["seconds"] >= 0.0
-            assert row["speedup_vs_1"] is not None  # workers=1 is in the sweep
-        import json
-
-        payload = json.loads(out_json.read_text())
-        assert payload["experiment"] == "parallel-bench"
-        assert payload["environment"]["cpu_count"] is not None
-        assert len(payload["rows"]) == 4
-
-
-class TestServeBench:
-    def test_smoke_rows_and_artifact(self, tmp_path) -> None:
-        from repro.experiments import serve_bench
-
-        out_json = tmp_path / "BENCH_serve.json"
-        rows = serve_bench.run(
-            scale=0.03,
-            seed=20,
-            num_clients=2,
-            queries_per_client=10,
-            settings=((1, 0.0), (16, 0.0), (16, 2.0)),
-            out_json=str(out_json),
-        )
-        # One row per coalescing setting plus the overload-phase row.
-        assert len(rows) == 4
-        for row in rows:
-            # run() itself asserts the full transcript parity before
-            # reporting a row; the rows must carry the latency percentiles.
-            assert row["parity"] == "ok"
-            assert row["throughput_qps"] > 0.0
-            assert 0.0 <= row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-            assert row["mean_batch"] >= 1.0
-        baseline = rows[0]
-        assert baseline["phase"] == "coalesce"
-        assert baseline["max_batch"] == 1 and baseline["mean_batch"] == 1.0
-        overload = rows[-1]
-        # run() raises unless the flood shed with busy, the queue respected
-        # its bound, and every admitted answer matched offline — so the row
-        # existing already proves the policy; spot-check the recorded shape.
-        assert overload["phase"] == "overload"
-        assert overload["shed"] > 0 and overload["stats_shed_total"] > 0
-        assert overload["queue_peak"] <= overload["max_queue"]
-        assert overload["offered_requests"] >= 2 * overload["queries"]
-        assert overload["uncontended_p99_ms"] > 0.0
-        import json
-
-        payload = json.loads(out_json.read_text())
-        assert payload["experiment"] == "serve"
-        assert payload["environment"]["cpu_count"] is not None
-        assert len(payload["rows"]) == 4
 
 
 class TestAblations:

@@ -10,6 +10,8 @@ series decreasing.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.index import SimilarityIndex
@@ -20,6 +22,7 @@ from repro.obs import (
     disable_tracing,
     enable_metrics,
     enable_tracing,
+    percentile,
 )
 from repro.service import ServiceClient, SimilarityServer, serve_in_thread
 
@@ -36,6 +39,29 @@ def make_index(records=RECORDS, **options) -> SimilarityIndex:
     options.setdefault("backend", "numpy")
     options.setdefault("seed", 17)
     return SimilarityIndex.build(list(records), 0.5, **options)
+
+
+class _PacedIndex:
+    """A real index whose ``query_batch`` takes a fixed engine time.
+
+    3.5 ms per batch, or 35 ms when the batch holds ``slow_record``;
+    everything else delegates to the wrapped index.
+    """
+
+    def __init__(self, inner: SimilarityIndex, slow_record) -> None:
+        self._inner = inner
+        self._slow_record = tuple(slow_record)
+
+    def query_batch(self, records):
+        slow = any(tuple(record) == self._slow_record for record in records)
+        time.sleep(0.035 if slow else 0.0035)
+        return self._inner.query_batch(records)
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +165,41 @@ class TestMetricsOperation:
         assert _series(snapshot, "repro_service_coalesce_batch_size") is not None
         assert _series(snapshot, "repro_service_uptime_seconds")["value"] >= 0.0
         assert 'repro_service_request_seconds_bucket{op="query"' in payload["text"]
+
+    def test_server_latency_percentiles_agree_with_client_within_one_bucket(self) -> None:
+        # The served latency histogram and a client's stopwatch describe the
+        # same requests, so p50/p95/p99 must land in the same or an adjacent
+        # bucket.  Engine time is pinned (3.5 ms per query, 35 ms for one
+        # record) so the percentiles sit mid-bucket and differ from each other.
+        slow_record = RECORDS[2]
+        server = SimilarityServer(
+            index_factory=lambda: _PacedIndex(make_index(), slow_record), max_linger_ms=0.0
+        )
+        handle = serve_in_thread(server)
+        client_seconds = []
+        try:
+            with ServiceClient.connect(*handle.address) as client:
+                for position in range(40):
+                    record = slow_record if position % 10 == 9 else RECORDS[position % 2]
+                    started = time.perf_counter()
+                    client.query(record)
+                    client_seconds.append(time.perf_counter() - started)
+                series = _series(
+                    client.metrics()["values"], "repro_service_request_seconds", op="query"
+                )
+        finally:
+            handle.stop()
+        histogram = Histogram.from_snapshot(series)
+        assert histogram.count == len(client_seconds)
+        client_seconds.sort()
+        for fraction in (0.50, 0.95, 0.99):
+            client_value = percentile(client_seconds, fraction)
+            server_value = histogram.quantile(fraction)
+            distance = abs(
+                histogram.bucket_index(client_value) - histogram.bucket_index(server_value)
+            )
+            assert distance <= 1, (fraction, client_value, server_value)
+        assert histogram.quantile(0.50) < 0.01 < histogram.quantile(0.99)
 
     def test_consecutive_scrapes_are_monotone(self, running_server) -> None:
         handle, _server = running_server

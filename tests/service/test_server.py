@@ -27,6 +27,7 @@ from repro.service import (
     SimilarityServer,
     serve_in_thread,
 )
+from repro.service.protocol import encode_message
 
 BASE_RECORDS = [
     (1, 2, 3, 4),
@@ -252,6 +253,45 @@ class TestErrorHandling:
             assert "malformed" in response["error"]
             assert client.health()["status"] == "ok"
 
+    def test_garbage_line_does_not_cancel_requests_in_flight(self) -> None:
+        # A connection at max_conn_inflight sheds its next line; peeking at
+        # a hostile line's id must not take the connection (and the query
+        # it has in flight) down with it.
+        offline = make_index()
+        server = SimilarityServer(
+            index_factory=lambda: _SlowIndex(make_index(), 0.3),
+            max_conn_inflight=1,
+            max_linger_ms=0.0,
+        )
+        handle = serve_in_thread(server)
+        hostile = [b"[" * 50_000, b'{"id": ' + b"9" * 5_000 + b', "op": "health"}']
+        try:
+            sock = socket.create_connection(handle.address, timeout=30.0)
+            try:
+                reader = sock.makefile("rb")
+                query = {"id": 1, "op": "query", "record": list(BASE_RECORDS[0])}
+                sock.sendall(encode_message(query) + b"".join(line + b"\n" for line in hostile))
+                responses = [json.loads(reader.readline()) for _ in range(3)]
+            finally:
+                sock.close()
+            answered = [response for response in responses if response["id"] == 1]
+            assert len(answered) == 1 and answered[0]["ok"] is True
+            matches = [(int(i), float(sim)) for i, sim in answered[0]["result"]["matches"]]
+            assert matches == offline.query_batch([BASE_RECORDS[0]])[0]
+            shed = [response for response in responses if response["id"] is None]
+            assert len(shed) == 2 and all(response.get("busy") for response in shed)
+
+            # Off the capped path the same lines are protocol errors, not
+            # internal errors, and the connection keeps serving.
+            with ServiceClient.connect(*handle.address) as client:
+                for line in hostile:
+                    client._socket.sendall(line + b"\n")
+                    response = json.loads(client._reader.readline())
+                    assert response["ok"] is False and "malformed" in response["error"]
+                assert client.health()["status"] == "ok"
+                assert client.stats()["server"]["protocol_errors"] == 2
+        finally:
+            handle.stop()
 
 class TestWalFailureFailStop:
     def test_inserts_disabled_after_wal_append_failure(self, tmp_path) -> None:

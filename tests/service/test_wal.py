@@ -2,13 +2,35 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.index import SimilarityIndex
 from repro.service.wal import PersistentIndexStore, WalCorruptionError, WriteAheadLog
 
 BASE_RECORDS = [(1, 2, 3, 4), (2, 3, 4, 5), (10, 11, 12, 13)]
+
+
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**63 - 2, max_value=2**70),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+"""Any JSON value Python's encoder writes, NaN and Infinity included."""
 
 
 def make_index() -> SimilarityIndex:
@@ -109,6 +131,87 @@ class TestWriteAheadLog:
             handle.write(b"garbage\n")
         with pytest.raises(WalCorruptionError):
             WriteAheadLog.replay(path)
+
+
+class TestUntrustedEntries:
+    """A WAL entry replays only as exactly what ``append`` wrote."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"id": 0, "tokens": [1.5, true, "7"]}',
+            b'{"id": 0, "tokens": [1.0]}',
+            b'{"id": 0, "tokens": [true]}',
+            b'{"id": 0, "tokens": ["7"]}',
+            b'{"id": 0, "tokens": [9223372036854775808]}',
+            b'{"id": 0, "tokens": "12"}',
+            b'{"id": 0, "tokens": {"1": 2}}',
+            b'{"id": 0, "tokens": [[1]]}',
+            b'{"id": 0.0, "tokens": [1]}',
+            b'{"id": true, "tokens": [1]}',
+            b'{"id": "0", "tokens": [1]}',
+            b'{"id": 0}',
+            b'{"tokens": [1]}',
+            b"[0, [1]]",
+            b"null",
+            b"[" * 50_000,
+            b'{"id": ' + b"9" * 5_000 + b', "tokens": [1]}',
+        ],
+        ids=["mixed", "float", "bool", "string", "int64-overflow", "tokens-string",
+             "tokens-object", "nested", "float-id", "bool-id", "string-id", "no-tokens",
+             "no-id", "array", "null", "deep", "huge-id"],
+    )
+    def test_malformed_terminated_entry_is_corruption(self, tmp_path, line) -> None:
+        path = tmp_path / "wal.jsonl"
+        with WriteAheadLog(path, sync=False) as wal:
+            wal.append(0, (1, 2))
+        with open(path, "ab") as handle:
+            handle.write(line + b"\n")
+        with pytest.raises(WalCorruptionError, match="line 2"):
+            WriteAheadLog.scan(path)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        record_id=_JSON,
+        tokens=_JSON,
+        garbage=st.binary(max_size=60).map(lambda raw: raw.replace(b"\n", b"")),
+        raw=st.booleans(),
+    )
+    def test_fuzzed_terminated_entry(self, tmp_path, record_id, tokens, garbage, raw) -> None:
+        path = tmp_path / "fuzz.jsonl"
+        line = garbage if raw else json.dumps({"id": record_id, "tokens": tokens}).encode()
+        path.write_bytes(b'{"id":0,"tokens":[1,2]}\n' + line + b"\n")
+        try:
+            entries, valid_end = WriteAheadLog.scan(path)
+        except WalCorruptionError:
+            return
+        # Accepted only if the line is what append() itself would write.
+        assert entries[0] == (0, (1, 2)) and len(entries) == 2
+        entry_id, entry_tokens = entries[1]
+        assert type(entry_id) is int and all(type(token) is int for token in entry_tokens)
+        assert json.loads(line) == {"id": entry_id, "tokens": list(entry_tokens)}
+        assert valid_end == path.stat().st_size
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(tail=st.binary(max_size=80).map(lambda raw: raw.replace(b"\n", b"")))
+    def test_fuzzed_torn_tail_is_tolerated(self, tmp_path, tail) -> None:
+        path = tmp_path / "torn.jsonl"
+        path.unlink(missing_ok=True)
+        with WriteAheadLog(path, sync=False) as wal:
+            wal.append(0, (1, 2))
+            wal.append(1, (-3,))
+        prefix = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(tail)
+        assert WriteAheadLog.scan(path) == ([(0, (1, 2)), (1, (-3,))], prefix)
 
 
 class TestPersistentIndexStore:

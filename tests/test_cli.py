@@ -302,6 +302,42 @@ class TestServeCommand:
         assert after_restart == offline.query_batch([tuple(p) for p in probes])
 
 
+class TestBadSettings:
+    """A setting the library refuses ends in exit status 2 and one error line."""
+
+    def _assert_usage_error(self, argv, message, capsys) -> None:
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"repro-join {argv[0]}: error: ") and message in err
+
+    def test_join_workers_zero(self, dataset_file, capsys) -> None:
+        self._assert_usage_error(
+            ["join", str(dataset_file), "--workers", "0"], "workers must be at least 1", capsys
+        )
+
+    def test_join_threshold_above_one(self, dataset_file, capsys) -> None:
+        self._assert_usage_error(
+            ["join", str(dataset_file), "--threshold", "1.5"], "threshold must be in", capsys
+        )
+
+    def test_index_build_workers_zero(self, dataset_file, tmp_path, capsys) -> None:
+        out = tmp_path / "never.idx"
+        self._assert_usage_error(
+            ["index", "build", str(dataset_file), "--workers", "0", "--out", str(out)],
+            "workers must be at least 1",
+            capsys,
+        )
+        assert not out.exists()
+
+    def test_serve_max_batch_zero(self, dataset_file, capsys) -> None:
+        self._assert_usage_error(
+            ["serve", str(dataset_file), "--max-batch", "0"], "max_batch must be at least 1", capsys
+        )
+
+
 class TestGenerateAndStats:
     def test_generate_then_stats_roundtrip(self, tmp_path, capsys) -> None:
         out = tmp_path / "uniform.txt"
